@@ -1,10 +1,11 @@
 """Pipeline assembly and execution.
 
 A `Pipeline` is an initial state plus an ordered list of stages over one
-space.  `run_analytic` enumerates every measurement branch exactly;
-`run_sampled` draws per-shot outcomes from the same branch probabilities
-with a counter-based RNG (see `rng`), so exact enumeration is always the
-source of truth and sampling is validated against it.
+space.  One depth-first walk, `_branch_tree`, evolves every measurement
+branch of positive probability.  `run_analytic` reports its leaves exactly;
+`run_sampled` draws per-shot outcomes down the same tree with a
+counter-based RNG (see `rng`), so exact enumeration is always the source of
+truth and sampling is validated against it.
 
 Branch records map a per-stage record key ("ww", "abs", "detector") to an
 outcome label; record tuples list the keys in stage order.
@@ -14,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import rng
-from .hilbert import LinearMap, SpaceSpec, StateVector, embed, projector
+from .hilbert import LinearMap, SpaceSpec, StateVector, label_projector, lift
 from .components import EraserKrausPair
 
 #: Branches below this probability are dropped from analytic distributions.
@@ -196,42 +196,26 @@ def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> f
     return joint / p_given
 
 
-@lru_cache(maxsize=512)
-def _embedded_by_content(matrix_bytes: bytes, op_space: SpaceSpec,
-                         targets: tuple[str, ...], space: SpaceSpec) -> np.ndarray:
-    # Embeddings recur across sweep points and branches; everything in the
-    # key is immutable, so memoizing by content is safe.
-    d = op_space.dim
-    op = LinearMap(op_space,
-                   np.frombuffer(matrix_bytes, dtype=np.complex128).reshape(d, d))
-    return embed(op, targets, space).matrix
-
-
-def _embedded(op: LinearMap, targets: Sequence[str], space: SpaceSpec) -> np.ndarray:
-    return _embedded_by_content(op.matrix.tobytes(), op.space, tuple(targets), space)
-
-
-@lru_cache(maxsize=512)
-def _projector_matrix(space: SpaceSpec, subsystem: str, label: str) -> np.ndarray:
-    return projector(space, subsystem, label).matrix
-
-
 def _stage_operators(stage: Stage, space: SpaceSpec) -> list[tuple[str | None, np.ndarray]]:
     """(outcome label, full-space matrix) per branch; label None = unitary."""
+    dims = space.dims
     if isinstance(stage, Unitary):
-        return [(None, _embedded(stage.op, stage.targets, space))]
-    if isinstance(stage, ProjectiveMeasure):
-        sub = space.subsystem(stage.subsystem)
-        names = stage.outcome_names or {}
-        return [(names.get(label, label), _projector_matrix(space, stage.subsystem, label))
-                for label in sub.labels]
+        axes = [space.axis(t) for t in stage.targets]
+        return [(None, lift(stage.op.matrix, axes, dims))]
     if isinstance(stage, GeneralizedMeasure):
-        return [("yes", _embedded(stage.kraus.k_abs, stage.targets, space)),
-                ("no", _embedded(stage.kraus.k_noabs, stage.targets, space))]
-    if isinstance(stage, Detect):
-        return [("X", _projector_matrix(space, "direction", "x")),
-                ("Y", _projector_matrix(space, "direction", "y"))]
-    raise TypeError(f"unknown stage {stage!r}")
+        axes = [space.axis(t) for t in stage.targets]
+        return [("yes", lift(stage.kraus.k_abs.matrix, axes, dims)),
+                ("no", lift(stage.kraus.k_noabs.matrix, axes, dims))]
+    if isinstance(stage, ProjectiveMeasure):
+        subsystem, names = stage.subsystem, stage.outcome_names or {}
+    elif isinstance(stage, Detect):
+        subsystem, names = "direction", {"x": "X", "y": "Y"}
+    else:
+        raise TypeError(f"unknown stage {stage!r}")
+    axis = space.axis(subsystem)
+    sub = space.subsystems[axis]
+    return [(names.get(label, label), lift(label_projector(sub, label), [axis], dims))
+            for label in sub.labels]
 
 
 def _record_key(stage: Stage) -> str | None:
@@ -240,42 +224,69 @@ def _record_key(stage: Stage) -> str | None:
     return None
 
 
-def _enumerate(space: SpaceSpec, initial: StateVector,
-               stages: Sequence[Stage]) -> list[Branch]:
+@dataclass(slots=True)
+class _Node:
+    """One measurement stage's outcome weights in the branch tree.
+
+    `children[j]` is the subtree of outcome j: a `_Node`, the leaf's record,
+    or None where the outcome has probability 0.
+    """
+
+    weights: list[float]
+    children: list
+
+
+Leaf = tuple[Record, float, np.ndarray]
+
+
+def _branch_tree(space: SpaceSpec, initial: StateVector,
+                 stages: Sequence[Stage]) -> tuple[_Node | Record, list[Leaf]]:
     """Depth-first exact evolution of every measurement branch.
 
-    Stage order is taken as given (the delayed-choice check deliberately
-    runs stage lists that would not validate as a user pipeline).
+    Returns the tree of conditional outcome weights and, in depth-first
+    order, the leaves (record, probability, normalized amplitudes) that no
+    branch below PRUNE_PROB leads to.  The tree keeps every outcome of
+    positive probability, since any of them can be drawn.  Stage order is
+    taken as given (the delayed-choice check deliberately runs stage lists
+    that would not validate as a user pipeline).
     """
     stage_ops = [(_record_key(s), _stage_operators(s, space)) for s in stages]
-    leaves: list[Branch] = []
-
-    def walk(depth: int, amps: np.ndarray, prob: float, record: Record):
+    leaves: list[Leaf] = []
+    top: list = [None]
+    # (stage index, amplitudes, probability, record, above the prune
+    # threshold so far, list holding the subtree, slot in that list)
+    stack = [(0, initial.amps, 1.0, (), True, top, 0)]
+    while stack:
+        depth, amps, prob, record, kept, parent, slot = stack.pop()
+        while depth < len(stage_ops) and stage_ops[depth][0] is None:
+            amps = stage_ops[depth][1][0][1] @ amps
+            depth += 1
         if depth == len(stage_ops):
-            state = StateVector(space, amps)
-            leaves.append(Branch(record, prob, state))
-            return
+            parent[slot] = record
+            if kept:
+                leaves.append((record, prob, amps))
+            continue
         key, ops = stage_ops[depth]
-        if key is None:
-            walk(depth + 1, ops[0][1] @ amps, prob, record)
-            return
-        for outcome, mat in ops:
+        weights, children, pending = [], [None] * len(ops), []
+        for j, (outcome, mat) in enumerate(ops):
             sub = mat @ amps
-            weight = float(np.real(np.vdot(sub, sub)))
-            branch_prob = prob * weight
-            if branch_prob < PRUNE_PROB:
-                continue
-            walk(depth + 1, sub / math.sqrt(weight), branch_prob,
-                 record + ((key, outcome),))
-
-    walk(0, initial.amps, 1.0, ())
-    return leaves
+            weight = float(np.vdot(sub, sub).real)
+            weights.append(weight)
+            if weight > 0.0:
+                branch_prob = prob * weight
+                pending.append((depth + 1, sub / math.sqrt(weight), branch_prob,
+                                record + ((key, outcome),),
+                                kept and branch_prob >= PRUNE_PROB, children, j))
+        parent[slot] = _Node(weights, children)
+        stack.extend(reversed(pending))
+    return top[0], leaves
 
 
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
     """Exact outcome distribution of a pipeline."""
-    return OutcomeDistribution(tuple(_enumerate(pipeline.space, pipeline.initial,
-                                                pipeline.stages)))
+    _, leaves = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    return OutcomeDistribution(tuple(Branch(record, prob, StateVector(pipeline.space, amps))
+                                     for record, prob, amps in leaves))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,50 +305,6 @@ class ShotHistogram:
         return self.counts.get(record, 0) / self.shots
 
 
-class _TreeNode:
-    """Internal node of the sampling tree: one measurement stage's outcomes."""
-
-    __slots__ = ("cum", "labels", "children", "key")
-
-    def __init__(self, key: str, labels: list[str], probs: list[float], children: list):
-        self.key = key
-        self.labels = labels
-        self.cum = np.cumsum(probs)
-        self.children = children  # None where the outcome has probability 0
-
-
-def _sampling_tree(space: SpaceSpec, initial: StateVector,
-                   stages: Sequence[Stage]) -> tuple[object, int]:
-    """Conditional-probability tree over measurement stages.
-
-    Unlike the analytic enumeration, nothing is pruned: any outcome with
-    strictly positive probability can in principle be drawn.
-    """
-    stage_ops = [(_record_key(s), _stage_operators(s, space)) for s in stages]
-    n_measurements = sum(1 for key, _ in stage_ops if key is not None)
-
-    def build(depth: int, amps: np.ndarray, record: Record):
-        if depth == len(stage_ops):
-            return record
-        key, ops = stage_ops[depth]
-        if key is None:
-            return build(depth + 1, ops[0][1] @ amps, record)
-        labels, probs, children = [], [], []
-        for outcome, mat in ops:
-            sub = mat @ amps
-            weight = float(np.real(np.vdot(sub, sub)))
-            labels.append(outcome)
-            probs.append(weight)
-            if weight > 0.0:
-                children.append(build(depth + 1, sub / math.sqrt(weight),
-                                      record + ((key, outcome),)))
-            else:
-                children.append(None)
-        return _TreeNode(key, labels, probs, children)
-
-    return build(0, initial.amps, ()), n_measurements
-
-
 def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     """Monte Carlo shot sampling with per-shot RNG substreams.
 
@@ -348,19 +315,20 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    root, n_measurements = _sampling_tree(pipeline.space, pipeline.initial,
-                                          pipeline.stages)
+    root, _ = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    n_measurements = sum(1 for s in pipeline.stages if _record_key(s) is not None)
     draws = rng.unit_matrix(seed, shots, max(n_measurements, 1))
     counts: dict[Record, int] = {}
-
-    def assign(node, shot_indices: np.ndarray, depth: int):
-        if not isinstance(node, _TreeNode):
+    stack = [(root, np.arange(shots), 0)]
+    while stack:
+        node, shot_indices, depth = stack.pop()
+        if not isinstance(node, _Node):
             counts[node] = counts.get(node, 0) + len(shot_indices)
-            return
+            continue
         u = draws[shot_indices, depth]
-        # First outcome whose cumulative probability exceeds the draw;
-        # clamp roundoff at the top end onto the last positive outcome.
-        picked = np.searchsorted(node.cum, u, side="right")
+        # First outcome whose cumulative weight exceeds the draw; clamp
+        # roundoff at the top end onto the last positive outcome.
+        picked = np.searchsorted(np.cumsum(node.weights), u, side="right")
         last_positive = max(j for j, c in enumerate(node.children) if c is not None)
         picked = np.minimum(picked, last_positive)
         for j, child in enumerate(node.children):
@@ -368,9 +336,8 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
             if len(selected) == 0:
                 continue
             assert child is not None, "drew a zero-probability outcome"
-            assign(child, selected, depth + 1)
+            stack.append((child, selected, depth + 1))
 
-    assign(root, np.arange(shots), 0)
     ordered = dict(sorted(counts.items()))
     return ShotHistogram(shots=shots, seed=seed, counts=ordered)
 
@@ -431,12 +398,12 @@ def sweep(build: Callable[[float], Pipeline], parameter: str,
     return SweepResult(parameter, tuple(grid), tuple(points), visibility(fringe))
 
 
-def _joint_table(branches: Sequence[Branch]) -> dict[Record, float]:
+def _joint_table(leaves: Sequence[Leaf]) -> dict[Record, float]:
     """Record -> probability, with record pairs in key-sorted canonical order."""
     table: dict[Record, float] = {}
-    for b in branches:
-        key = tuple(sorted(b.record))
-        table[key] = table.get(key, 0.0) + b.prob
+    for record, prob, _ in leaves:
+        key = tuple(sorted(record))
+        table[key] = table.get(key, 0.0) + prob
     return table
 
 
@@ -455,10 +422,10 @@ def delayed_choice_equivalence(pipeline: Pipeline, tol: float = ATOL_DELAYED) ->
     if not isinstance(kept[-1], Detect):
         raise PipelineError("pipeline has no detect stage after the eraser")
 
-    original = _joint_table(_enumerate(pipeline.space, pipeline.initial,
-                                       pipeline.stages))
-    reordered = _joint_table(_enumerate(pipeline.space, pipeline.initial,
-                                        tuple(kept) + tuple(moved)))
+    original = _joint_table(_branch_tree(pipeline.space, pipeline.initial,
+                                         pipeline.stages)[1])
+    reordered = _joint_table(_branch_tree(pipeline.space, pipeline.initial,
+                                          tuple(kept) + tuple(moved))[1])
     for key in original.keys() | reordered.keys():
         if abs(original.get(key, 0.0) - reordered.get(key, 0.0)) > tol:
             return False

@@ -4,8 +4,10 @@ Everything in this module is immutable and pure: spaces are ordered lists of
 named subsystems, states are dense complex amplitude vectors over a space,
 and maps are dense square matrices.  The basis convention is mixed-radix:
 the flat amplitude index enumerates subsystem labels in space order with the
-*last* subsystem varying fastest, so `kron` and `embed` reduce to radix
-arithmetic on indices.
+*last* subsystem varying fastest, so a flat vector or matrix reshapes into
+one tensor axis per subsystem.  `lift` uses that to turn an operator on a
+few subsystems into a full-space matrix; `embed` and `projector` are
+validated wrappers around it.
 
 Tolerances are fixed module constants.  Constructors reject bad input
 (non-finite amplitudes, non-unit norms, non-unitary matrices flagged
@@ -31,8 +33,9 @@ ATOL_NORM = 1e-10
 #: Idempotence/Hermiticity tolerance for projectors.
 ATOL_PROJECTOR = 1e-12
 
-#: Hard cap on composite dimension; this library targets small spaces.
-MAX_TOTAL_DIM = 10**6
+#: Hard cap on composite dimension.  Stages are applied as dense d x d
+#: complex matrices, 16 MiB each at the cap.
+MAX_TOTAL_DIM = 1024
 
 
 class SpaceMismatchError(ValueError):
@@ -254,6 +257,35 @@ def kron(a: LinearMap, b: LinearMap) -> LinearMap:
                      unitary=a.unitary and b.unitary)
 
 
+def lift(matrix: np.ndarray, axes: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """Full-space matrix of `matrix` acting on the subsystems at `axes`, in
+    that order, and as the identity on the others.
+
+    `dims` are the subsystem dimensions of the full space and `matrix` is
+    square over the product of `dims[axes]`.  Nothing is validated; `embed`
+    and `projector` are the checked entry points.
+    """
+    rest = [k for k in range(len(dims)) if k not in axes]
+    order = [*axes, *rest]
+    shape = [dims[k] for k in order]
+    rest_dim = math.prod(dims[k] for k in rest)
+    d = matrix.shape[0] * rest_dim
+    # op (x) I_rest with one tensor axis per subsystem, rows then columns,
+    # in `order`; the transpose moves every axis back to its place in space.
+    block = matrix[:, None, :, None] * np.eye(rest_dim)[None, :, None, :]
+    where = [order.index(k) for k in range(len(dims))]
+    perm = where + [len(dims) + k for k in where]
+    return block.reshape(shape + shape).transpose(perm).reshape(d, d)
+
+
+def label_projector(sub: SubsystemSpec, label: str) -> np.ndarray:
+    """Diagonal 0/1 matrix on `sub` that keeps only `label`."""
+    out = np.zeros((sub.dim, sub.dim), dtype=np.complex128)
+    k = sub.label_index(label)
+    out[k, k] = 1.0
+    return out
+
+
 def embed(op: LinearMap, targets: Sequence[str], space: SpaceSpec) -> LinearMap:
     """Extend `op` to act on `space`: `op` on the target subsystems, identity
     elsewhere.
@@ -271,27 +303,8 @@ def embed(op: LinearMap, targets: Sequence[str], space: SpaceSpec) -> LinearMap:
             f"targets {targets} of {space.names}"
         )
 
-    # Decompose flat indices into (target digits, rest digits), lay the
-    # operator out as kron(op, I_rest) in that order, then scatter back.
-    n = space.dim
-    flat = np.arange(n)
-    strides = space.strides()
-    dims = space.dims
-    target_axes = [space.axis(t) for t in targets]
-    rest_axes = [k for k in range(len(dims)) if k not in target_axes]
-
-    sub_index = np.zeros(n, dtype=np.int64)
-    for ax in target_axes:
-        sub_index = sub_index * dims[ax] + (flat // strides[ax]) % dims[ax]
-    rest_index = np.zeros(n, dtype=np.int64)
-    for ax in rest_axes:
-        rest_index = rest_index * dims[ax] + (flat // strides[ax]) % dims[ax]
-
-    rest_dim = n // op.space.dim
-    permuted = sub_index * rest_dim + rest_index  # position in kron(op, I_rest)
-    block = np.kron(op.matrix, np.eye(rest_dim))
-    full = block[np.ix_(permuted, permuted)]
-    return LinearMap(space, full, unitary=op.unitary)
+    axes = [space.axis(t) for t in targets]
+    return LinearMap(space, lift(op.matrix, axes, space.dims), unitary=op.unitary)
 
 
 def apply(op: LinearMap, psi: StateVector) -> StateVector:
@@ -316,11 +329,8 @@ def projector(space: SpaceSpec, subsystem: str, label: str) -> LinearMap:
     holds without rounding.
     """
     axis = space.axis(subsystem)
-    sub = space.subsystems[axis]
-    want = sub.label_index(label)
-    stride = space.strides()[axis]
-    mask = (np.arange(space.dim) // stride) % sub.dim == want
-    return LinearMap(space, np.diag(mask.astype(np.complex128)))
+    return LinearMap(space, lift(label_projector(space.subsystems[axis], label),
+                                 [axis], space.dims))
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector,

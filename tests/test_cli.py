@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -225,8 +226,13 @@ class TestValidate:
 
 
 def test_console_entry_point_runs_in_subprocess():
+    # The child finds the package the way this process did, also when the
+    # source directory came from pytest's `pythonpath` setting.
+    src = str(EXPERIMENT_DIR.parent / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     result = subprocess.run(
         [sys.executable, "-m", "mzsim", "run", path("baseline.mzx")],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
     assert result.returncode == 0
     assert result.stdout == "detector=X  1\n"

@@ -1,9 +1,13 @@
+import gc
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mzsim import components as comp
+from mzsim import dsl
 from mzsim import experiment as exp
 from mzsim import hilbert, rng
 from mzsim.experiment import (
@@ -187,10 +191,52 @@ class TestConditionalAndMarginal:
         assert abs(total - marginal(dist, matches(detector="X"))) <= 1e-12
 
 
+def naive_operators(stage, space):
+    """(record key, [(outcome, dense full-space matrix)]) for one stage, built
+    from the public `hilbert.embed` and `hilbert.projector` only."""
+    if isinstance(stage, exp.Unitary):
+        return None, [(None, hilbert.embed(stage.op, stage.targets, space).matrix)]
+    if isinstance(stage, GeneralizedMeasure):
+        return stage.record_key, [
+            ("yes", hilbert.embed(stage.kraus.k_abs, stage.targets, space).matrix),
+            ("no", hilbert.embed(stage.kraus.k_noabs, stage.targets, space).matrix)]
+    if isinstance(stage, ProjectiveMeasure):
+        names = stage.outcome_names or {}
+        return stage.record_key, [
+            (names.get(label, label), hilbert.projector(space, stage.subsystem, label).matrix)
+            for label in space.subsystem(stage.subsystem).labels]
+    p_x, p_y = comp.detector_projectors(space)
+    return stage.record_key, [("X", p_x.matrix), ("Y", p_y.matrix)]
+
+
+def naive_enumerate(pipeline):
+    """Recursive dense reference for `run_analytic`: (record, prob, amps) per
+    branch, depth first, dropping branches below PRUNE_PROB."""
+    stage_ops = [naive_operators(s, pipeline.space) for s in pipeline.stages]
+    leaves = []
+
+    def walk(depth, amps, prob, record):
+        if depth == len(stage_ops):
+            leaves.append((record, prob, amps))
+            return
+        key, ops = stage_ops[depth]
+        if key is None:
+            walk(depth + 1, ops[0][1] @ amps, prob, record)
+            return
+        for outcome, mat in ops:
+            sub = mat @ amps
+            weight = float(np.real(np.vdot(sub, sub)))
+            if prob * weight >= exp.PRUNE_PROB:
+                walk(depth + 1, sub / math.sqrt(weight), prob * weight,
+                     record + ((key, outcome),))
+
+    walk(0, pipeline.initial.amps, 1.0, ())
+    return leaves
+
+
 def naive_run_sampled(pipeline, shots, seed):
     """Per-shot state-vector walk; independent of the tree sampler."""
-    stage_ops = [(exp._record_key(s), exp._stage_operators(s, pipeline.space))
-                 for s in pipeline.stages]
+    stage_ops = [naive_operators(s, pipeline.space) for s in pipeline.stages]
     counts = {}
     for shot in range(shots):
         sampler = rng.SubstreamSampler(seed, shot)
@@ -213,6 +259,70 @@ def naive_run_sampled(pipeline, shots, seed):
             record += ((key, ops[picked][0]),)
         counts[record] = counts.get(record, 0) + 1
     return dict(sorted(counts.items()))
+
+
+EXPERIMENTS = sorted((Path(__file__).resolve().parent.parent / "experiments").glob("*.mzx"))
+
+
+def shipped_pipeline(path):
+    """The pipeline of a shipped file, with a free phase bound to 0.7."""
+    ast = dsl.parse_text(path.read_text())
+    if path.name.endswith("_phase.mzx"):
+        return dsl.sweep_template(ast, "phi")(0.7)
+    return dsl.compile(ast)
+
+
+def random_pipeline(seed):
+    """Seeded stage list on the 24-dimensional eraser space: random unitaries
+    on random ordered subsystem sets, the optical components, projective and
+    Kraus measurements, and a random initial state."""
+    gen = np.random.default_rng(seed)
+    space = comp.eraser_space()
+    stages = []
+    for k in range(int(gen.integers(3, 9))):
+        kind = gen.integers(5)
+        if kind == 0:
+            names = list(gen.permutation(space.names)[:int(gen.integers(1, 4))])
+            d = space.restricted(names).dim
+            q = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))[0]
+            stages.append(exp.Unitary(hilbert.LinearMap(space.restricted(names), q), tuple(names)))
+        elif kind == 1:
+            stages.append(unitary_on([comp.beam_splitter(), comp.mirror_pair(),
+                                      comp.which_way_entangler()][int(gen.integers(3))]))
+        elif kind == 2:
+            stages.append(unitary_on(comp.phase_shifter(float(gen.uniform(-4, 4)))))
+        elif kind == 3:
+            stages.append(ProjectiveMeasure(str(gen.choice(space.names)), f"m{k}"))
+        else:
+            stages.append(GeneralizedMeasure(comp.eraser_kraus(float(gen.uniform(0.05, 1.0))),
+                                             ("photon", "eraser"), f"m{k}"))
+    amps = gen.normal(size=space.dim) + 1j * gen.normal(size=space.dim)
+    initial = hilbert.StateVector(space, amps / np.linalg.norm(amps))
+    return Pipeline(space, initial, (*stages, Detect()))
+
+
+def assert_matches_naive_enumeration(pipeline):
+    got = run_analytic(pipeline).branches
+    want = naive_enumerate(pipeline)
+    assert [b.record for b in got] == [record for record, _, _ in want]
+    for branch, (_, prob, amps) in zip(got, want):
+        assert abs(branch.prob - prob) <= 1e-12
+        assert np.max(np.abs(branch.state.amps - amps)) <= 1e-12
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.name)
+    def test_shipped_experiments(self, path):
+        assert_matches_naive_enumeration(shipped_pipeline(path))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_stage_lists(self, seed):
+        assert_matches_naive_enumeration(random_pipeline(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stage_lists_sampled(self, seed):
+        p = random_pipeline(seed)
+        assert run_sampled(p, 300, seed).counts == naive_run_sampled(p, 300, seed)
 
 
 class TestRunSampled:
@@ -240,6 +350,20 @@ class TestRunSampled:
         for make in (readout_pipeline, lambda: eraser_pipeline(0.5)):
             p = make()
             assert run_sampled(p, 400, 11).counts == naive_run_sampled(p, 400, 11)
+
+    def test_draws_are_freed_without_the_cycle_collector(self):
+        p = eraser_pipeline(0.5)
+        run_sampled(p, 10, 1)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            run_sampled(p, 100_000, 1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 2**20
 
     def test_counts_sum_to_shots(self):
         hist = run_sampled(eraser_pipeline(0.5), 1234, 3)

@@ -1,0 +1,80 @@
+"""Byte-for-byte `mzx` output on the shipped experiments.
+
+`golden/cli.json` maps each command line below to the exit code, stdout and
+stderr it produced.  Commands run in-process from the repository root with
+repo-relative paths, so `meta.file` in the JSON output is stable.  After
+checking that a change of output is intended, regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from mzsim import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+FORMATS = ("table", "csv", "json")
+FILES = sorted(p.name for p in (ROOT / "experiments").glob("*.mzx"))
+ERASER_FILES = [f for f in FILES if f.startswith("eraser")]
+PHASE_FILES = [f for f in FILES if f.endswith("_phase.mzx")]
+SWEEP = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "16"]
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for fmt in FORMATS:
+        for name in FILES:
+            out.append(["run", f"experiments/{name}", "--format", fmt])
+            out.append(["run", f"experiments/{name}", "--format", fmt,
+                        "--shots", "20000", "--seed", "3"])
+        for name in ERASER_FILES:
+            out.append(["run", f"experiments/{name}", "--format", fmt,
+                        "--given", "abs=yes"])
+        for name in PHASE_FILES:
+            out.append(["sweep", f"experiments/{name}", *SWEEP, "--format", fmt])
+        out.append(["sweep", "experiments/eraser_phase.mzx", *SWEEP, "--format", fmt,
+                    "--given", "abs=yes"])
+    return out
+
+
+def invoke(argv: list[str]) -> dict:
+    """Run `mzx argv` in-process from the repository root."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_command():
+    assert list(load_golden()) == [" ".join(argv) for argv in commands()]
+
+
+@pytest.mark.parametrize("argv", commands(), ids=" ".join)
+def test_cli_output_matches_golden(argv, monkeypatch):
+    monkeypatch.delenv("MZX_SEED", raising=False)
+    assert invoke(argv) == load_golden()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    os.environ.pop("MZX_SEED", None)
+    golden = {" ".join(argv): invoke(argv) for argv in commands()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {len(golden)} commands to {GOLDEN.relative_to(ROOT)}\n")

@@ -15,6 +15,7 @@ from mzsim.hilbert import (
     identity,
     inner,
     kron,
+    lift,
     projector,
     space_of,
 )
@@ -160,6 +161,34 @@ class TestKron:
         with pytest.raises(ValueError, match="exceeds"):
             kron(identity(space_of(big)), identity(space_of(wide)))
 
+    def test_space_at_the_cap_embeds(self):
+        big = SubsystemSpec("big", tuple(f"l{i}" for i in range(hilbert.MAX_TOTAL_DIM // 2)))
+        space = space_of(big, AB)
+        assert space.dim == hilbert.MAX_TOTAL_DIM
+        op = LinearMap(space_of(AB), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        got = embed(op, ["left"], space).matrix
+        assert got.shape == (space.dim, space.dim)
+        assert np.array_equal(got, np.kron(np.eye(big.dim), op.matrix))
+
+    def test_space_above_the_cap_rejected(self):
+        big = SubsystemSpec("big", tuple(f"l{i}" for i in range(hilbert.MAX_TOTAL_DIM // 2)))
+        with pytest.raises(ValueError, match="exceeds"):
+            space_of(big, PQR)
+
+
+class TestLift:
+    @pytest.mark.parametrize("targets", [
+        targets for k in (1, 2, 3)
+        for targets in itertools.permutations(["left", "mid", "right"], k)])
+    def test_equals_entrywise_oracle_exactly(self, targets):
+        rng = np.random.default_rng(len(targets))
+        space = space_of(AB, PQR, UV)
+        op_space = space.restricted(targets)
+        op = LinearMap(op_space, rng.normal(size=(op_space.dim,) * 2)
+                       + 1j * rng.normal(size=(op_space.dim,) * 2))
+        got = lift(op.matrix, [space.axis(t) for t in targets], space.dims)
+        assert np.array_equal(got, embed_oracle(op, targets, space))
+
 
 class TestEmbed:
     def test_adjacent_targets_reduce_to_kron(self):
@@ -265,6 +294,14 @@ class TestProjector:
         assert np.max(np.abs(p @ p - p)) <= 1e-12
         assert np.max(np.abs(p - p.conj().T)) <= 1e-12
         assert np.trace(p).real == space.dim / 3
+
+    def test_keeps_exactly_the_basis_states_with_the_label(self):
+        space = space_of(AB, PQR, UV)
+        for axis, sub in enumerate(space.subsystems):
+            for label in sub.labels:
+                keep = [space.labels_at(i)[axis] == label for i in range(space.dim)]
+                assert np.array_equal(projector(space, sub.name, label).matrix,
+                                      np.diag(np.array(keep, dtype=complex)))
 
     def test_completeness_is_exact(self):
         space = space_of(AB, PQR, UV)
