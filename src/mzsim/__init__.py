@@ -33,6 +33,7 @@ from .experiment import (
     GeneralizedMeasure,
     OutcomeDistribution,
     Pipeline,
+    PipelineFamily,
     ProjectiveMeasure,
     ShotHistogram,
     SweepResult,

@@ -4,15 +4,17 @@
     mzx sweep FILE --param NAME --from A --to B --steps K [--format ...] [--given ...]
     mzx validate FILE
 
-Exit codes: 0 success; 1 parse/validation error; 2 I/O error; 3 conditioning
-on a zero-probability event; 4 sweep with fewer than 2 steps.
+Exit codes: 0 success; 1 parse/validation error (also a bad seed or a
+non-finite sweep grid); 2 I/O error; 3 conditioning on a zero-probability
+event; 4 sweep with fewer than 2 steps.
 
 Output is deterministic: identical file bytes, flags, and seed produce
 byte-identical output.  CSV uses ',' separators, '.' decimal points, LF
 line endings, and 17 significant digits; JSON is a single object with keys
 in the fixed order meta, branches, conditionals, and (for sweeps)
 visibility.  The MZX_SEED environment variable supplies a default seed for
-sampled runs (the --seed flag overrides; the fallback seed is 0).
+sampled runs (the --seed flag overrides; the fallback seed is 0); seeds lie
+in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import dsl, experiment
+from . import dsl, experiment, rng
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -88,14 +90,18 @@ def _record_label(record: experiment.Record) -> str:
 
 def _resolve_seed(flag: int | None) -> int:
     if flag is not None:
-        return flag
-    env = os.environ.get("MZX_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(EXIT_INVALID, f"MZX_SEED must be an integer, got {env!r}") from None
+        seed, source = flag, "--seed"
+    else:
+        env = os.environ.get("MZX_SEED")
+        if env is None:
+            return 0
+        try:
+            seed, source = int(env), "MZX_SEED"
+        except ValueError:
+            raise CliError(EXIT_INVALID, f"MZX_SEED must be an integer, got {env!r}") from None
+    if not 0 <= seed < rng.SEED_LIMIT:
+        raise CliError(EXIT_INVALID, f"{source} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _load(path: str) -> tuple[dsl.ExperimentAst, str]:
@@ -251,6 +257,8 @@ def cmd_sweep(args) -> int:
         raise CliError(EXIT_INVALID, f"{args.file}: {exc.message}") from None
     except experiment.ZeroProbabilityEventError as exc:
         raise CliError(EXIT_ZERO_CONDITION, str(exc)) from None
+    except ValueError as exc:  # a non-finite grid value, e.g. --to inf
+        raise CliError(EXIT_INVALID, str(exc)) from None
 
     meta = {"file": args.file, "sha256": digest, "mode": "sweep",
             "parameter": args.param, "from": args.from_, "to": args.to,

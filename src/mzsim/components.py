@@ -79,6 +79,20 @@ def phase_shifter(phi: float, path: str = "y") -> LinearMap:
     return LinearMap(space, np.diag(diag), unitary=True)
 
 
+def phase_shifter_stack(phis: np.ndarray, path: str = "y") -> np.ndarray:
+    """`phase_shifter(phi, path).matrix` for every phi in `phis`, as one
+    (len(phis), 2, 2) array."""
+    phis = np.asarray(phis, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(phis))
+    if bad.size:
+        raise ValueError(f"phase must be finite, got {float(phis[bad[0]])!r}")
+    k = direction_space().subsystem("direction").label_index(path)
+    out = np.zeros((len(phis), 2, 2), dtype=np.complex128)
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    out[:, k, k] = np.exp(1j * phis)
+    return out
+
+
 @lru_cache(maxsize=None)
 def which_way_entangler() -> LinearMap:
     """Path detectors that record the arm in a photon, without projecting.

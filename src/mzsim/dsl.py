@@ -28,6 +28,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from . import components, experiment, hilbert
 from .hilbert import space_of
 
@@ -168,6 +170,12 @@ Directive = (SourceDecl | BeamSplitterStage | MirrorsStage | PhaseStage |
              WwReadoutStage | EntanglerStage | EraserStage | DetectStage)
 
 
+def _parameter(d: Directive) -> str | None:
+    """The parameter a directive names, if any."""
+    return d.param if isinstance(d, PhaseStage) else \
+        d.eta_param if isinstance(d, EraserStage) else None
+
+
 @dataclass(frozen=True)
 class ExperimentAst:
     directives: tuple[Directive, ...]
@@ -177,8 +185,7 @@ class ExperimentAst:
     def free_parameters(self) -> tuple[str, ...]:
         names: list[str] = []
         for d in self.directives:
-            cand = d.param if isinstance(d, PhaseStage) else \
-                d.eta_param if isinstance(d, EraserStage) else None
+            cand = _parameter(d)
             if cand is not None and cand not in names:
                 names.append(cand)
         return tuple(names)
@@ -341,8 +348,7 @@ def validate(ast: ExperimentAst) -> list[ParseError]:
 
     seen_params: set[str] = set()
     for d in directives:
-        cand = d.param if isinstance(d, PhaseStage) else \
-            d.eta_param if isinstance(d, EraserStage) else None
+        cand = _parameter(d)
         if cand is None:
             continue
         if cand == "pi":
@@ -355,12 +361,16 @@ def validate(ast: ExperimentAst) -> list[ParseError]:
     return problems
 
 
-def parse_text(src: str) -> ExperimentAst:
-    """Tokenize, parse, and validate; raises the first error found."""
-    ast = parse(tokenize(src))
+def _require_valid(ast: ExperimentAst):
     problems = validate(ast)
     if problems:
         raise problems[0]
+
+
+def parse_text(src: str) -> ExperimentAst:
+    """Tokenize, parse, and validate; raises the first error found."""
+    ast = parse(tokenize(src))
+    _require_valid(ast)
     return ast
 
 
@@ -400,30 +410,8 @@ def pretty_print(ast: ExperimentAst) -> str:
 _PATH_TO_DIRECTION = {"A": "x", "B": "y"}
 
 
-def compile(ast: ExperimentAst, bindings: Mapping[str, float] | None = None
-            ) -> experiment.Pipeline:
-    """Build the pipeline an AST describes.
-
-    `bindings` must assign a finite value to every free parameter; unknown
-    binding names are rejected.
-    """
-    bindings = dict(bindings or {})
-    problems = validate(ast)
-    if problems:
-        raise problems[0]
-    unknown = set(bindings) - set(ast.free_parameters)
-    if unknown:
-        raise _semantic(1, 1, f"unknown parameter binding(s) {sorted(unknown)}")
-
-    def resolve(value, param, line, what) -> float:
-        if param is not None:
-            if param not in bindings:
-                raise _semantic(line, 1, f"unbound parameter {param!r}")
-            value = bindings[param]
-        if not math.isfinite(value):
-            raise _semantic(line, 1, f"{what} must be finite, got {value!r}")
-        return float(value)
-
+def _layout(ast: ExperimentAst) -> tuple[hilbert.SpaceSpec, hilbert.StateVector]:
+    """The space a validated AST needs and its initial basis state."""
     subsystems = [hilbert.direction()]
     if ast.uses_entangler:
         subsystems += [hilbert.photon(), hilbert.atom()]
@@ -438,50 +426,116 @@ def compile(ast: ExperimentAst, bindings: Mapping[str, float] | None = None
         labels["atom"] = "e"
     if ast.uses_eraser:
         labels["eraser"] = "gamma"
-    initial = space.basis_state(labels)
+    return space, space.basis_state(labels)
 
-    stages: list[experiment.Stage] = []
+
+def _stage_directives(ast: ExperimentAst) -> list[tuple[Directive, str | None]]:
+    """(directive, record key) for every directive that makes a stage."""
+    out: list[tuple[Directive, str | None]] = []
     ww_count = abs_count = 0
     for d in ast.directives:
+        key = None
         if isinstance(d, SourceDecl):
             continue
-        if isinstance(d, BeamSplitterStage):
-            stages.append(experiment.unitary_on(components.beam_splitter()))
-        elif isinstance(d, MirrorsStage):
-            stages.append(experiment.unitary_on(components.mirror_pair()))
-        elif isinstance(d, PhaseStage):
-            phi = resolve(d.value, d.param, d.line, "phase")
-            path = _PATH_TO_DIRECTION[d.path]
-            stages.append(experiment.unitary_on(components.phase_shifter(phi, path)))
+        if isinstance(d, EraserStage):
+            if not d.open:
+                continue  # closed channel: the eraser atom idles in gamma
+            abs_count += 1
+            key = "abs" if abs_count == 1 else f"abs{abs_count}"
         elif isinstance(d, WwReadoutStage):
             ww_count += 1
             key = "ww" if ww_count == 1 else f"ww{ww_count}"
-            stages.append(experiment.ProjectiveMeasure(
-                "direction", key, {"x": "A", "y": "B"}))
-        elif isinstance(d, EntanglerStage):
-            stages.append(experiment.unitary_on(components.which_way_entangler()))
-        elif isinstance(d, EraserStage):
-            if not d.open:
-                continue  # closed channel: the eraser atom idles in gamma
-            eta = resolve(d.eta_value if d.eta_value is not None else 1.0,
-                          d.eta_param, d.line, "eta")
-            try:
-                kraus = components.eraser_kraus(eta)
-            except ValueError as exc:
-                raise _semantic(d.line, 1, str(exc)) from None
-            abs_count += 1
-            key = "abs" if abs_count == 1 else f"abs{abs_count}"
-            stages.append(experiment.GeneralizedMeasure(
-                kraus, ("photon", "eraser"), key))
-        elif isinstance(d, DetectStage):
-            stages.append(experiment.Detect())
-    return experiment.Pipeline(space, initial, tuple(stages))
+        out.append((d, key))
+    return out
 
 
-def sweep_template(ast: ExperimentAst, parameter: str):
-    """Pipeline builder binding the AST's single free parameter."""
+def _stage(d: Directive, key: str | None, bindings: Mapping[str, float]
+           ) -> experiment.Stage:
+    """The stage of one directive, its parameter taken from `bindings`."""
+    def resolve(value, what) -> float:
+        param = _parameter(d)
+        if param is not None:
+            if param not in bindings:
+                raise _semantic(d.line, 1, f"unbound parameter {param!r}")
+            value = bindings[param]
+        if not math.isfinite(value):
+            raise _semantic(d.line, 1, f"{what} must be finite, got {value!r}")
+        return float(value)
+
+    if isinstance(d, BeamSplitterStage):
+        return experiment.unitary_on(components.beam_splitter())
+    if isinstance(d, MirrorsStage):
+        return experiment.unitary_on(components.mirror_pair())
+    if isinstance(d, PhaseStage):
+        phi = resolve(d.value, "phase")
+        return experiment.unitary_on(components.phase_shifter(phi, _PATH_TO_DIRECTION[d.path]))
+    if isinstance(d, WwReadoutStage):
+        return experiment.ProjectiveMeasure("direction", key, {"x": "A", "y": "B"})
+    if isinstance(d, EntanglerStage):
+        return experiment.unitary_on(components.which_way_entangler())
+    if isinstance(d, EraserStage):
+        eta = resolve(d.eta_value if d.eta_value is not None else 1.0, "eta")
+        try:
+            kraus = components.eraser_kraus(eta)
+        except ValueError as exc:
+            raise _semantic(d.line, 1, str(exc)) from None
+        return experiment.GeneralizedMeasure(kraus, ("photon", "eraser"), key)
+    return experiment.Detect()
+
+
+def compile(ast: ExperimentAst, bindings: Mapping[str, float] | None = None
+            ) -> experiment.Pipeline:
+    """Build the pipeline an AST describes.
+
+    `bindings` must assign a finite value to every free parameter; unknown
+    binding names are rejected.
+    """
+    bindings = dict(bindings or {})
+    _require_valid(ast)
+    unknown = set(bindings) - set(ast.free_parameters)
+    if unknown:
+        raise _semantic(1, 1, f"unknown parameter binding(s) {sorted(unknown)}")
+    space, initial = _layout(ast)
+    return experiment.Pipeline(space, initial, tuple(
+        _stage(d, key, bindings) for d, key in _stage_directives(ast)))
+
+
+def _swept_stage(d: Directive, key: str | None, parameter: str) -> experiment.SweptStage:
+    """A phase or open-eraser directive that names `parameter`, as a swept
+    stage; its template is the stage at phase 0 or eta 1, which every file
+    accepts."""
+    def build(value: float) -> experiment.Stage:
+        return _stage(d, key, {parameter: value})
+
+    if isinstance(d, PhaseStage):
+        path = _PATH_TO_DIRECTION[d.path]
+        return experiment.SweptStage(
+            build(0.0), build,
+            lambda values: (components.phase_shifter_stack(values, path),))
+
+    def stack(values):
+        # One Kraus pair per value, so a bad eta raises where `build` would.
+        pairs = [build(v).kraus for v in values.tolist()]
+        return (np.stack([p.k_abs.matrix for p in pairs]),
+                np.stack([p.k_noabs.matrix for p in pairs]))
+    return experiment.SweptStage(build(1.0), build, stack)
+
+
+def sweep_template(ast: ExperimentAst, parameter: str) -> experiment.PipelineFamily:
+    """The pipelines of the AST over its free parameter `parameter`.
+
+    Validates and compiles the AST once.  Calling the result with a value
+    returns the pipeline `compile(ast, {parameter: value})` builds (and
+    raises what it raises); `experiment.sweep` runs the family over a whole
+    grid as one batch, building each stage the parameter sets as one stack
+    of matrices.
+    """
     free = ast.free_parameters
     if parameter not in free:
         raise _semantic(1, 1, f"parameter {parameter!r} is not a free parameter "
                               f"of this file (free: {list(free) or 'none'})")
-    return lambda value: compile(ast, {parameter: value})
+    _require_valid(ast)
+    space, initial = _layout(ast)
+    return experiment.PipelineFamily(space, initial, tuple(
+        _swept_stage(d, key, parameter) if _parameter(d) == parameter
+        else _stage(d, key, {}) for d, key in _stage_directives(ast)))

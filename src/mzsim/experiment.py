@@ -7,6 +7,14 @@ branch of positive probability.  `run_analytic` reports its leaves exactly;
 counter-based RNG (see `rng`), so exact enumeration is always the source of
 truth and sampling is validated against it.
 
+`sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
+`dsl.sweep_template` returns) runs as a batch: its swept stages are stacked
+over the grid and lifted once, and one depth-first walk evolves the
+amplitudes of G points (up to SWEEP_CHUNK) as a (G, d) array, reproducing
+`_branch_tree`'s arithmetic bit for bit.  Any other pipeline builder runs
+point by point through `run_analytic`, the reference the batch is tested
+against.
+
 Branch records map a per-stage record key ("ww", "abs", "detector") to an
 outcome label; record tuples list the keys in stage order.
 """
@@ -29,6 +37,9 @@ PRUNE_PROB = 1e-14
 ATOL_DIST_SUM = 1e-10
 #: Tolerance for distribution equality in the delayed-choice check.
 ATOL_DELAYED = 1e-12
+#: Grid points per batched sweep walk; a lifted (points, d, d) stage stack
+#: then takes at most 9 MiB at d = 24, the largest space `dsl` builds.
+SWEEP_CHUNK = 1024
 
 Record = tuple[tuple[str, str], ...]
 Predicate = Callable[[Mapping[str, str]], bool]
@@ -147,6 +158,48 @@ def validate_stages(space: SpaceSpec, initial: StateVector,
 
 
 @dataclass(frozen=True, eq=False)
+class SweptStage:
+    """A stage that the swept parameter sets.
+
+    `template` is the stage at one valid value; it fixes the stage's kind,
+    targets and record key.  `build(value)` is the stage at `value`, and
+    `stack(values)` gives its local matrices at every value, in the order
+    `_local_operators` lists them for `template`, as (len(values), k, k)
+    arrays.
+    """
+
+    template: Stage
+    build: Callable[[float], Stage]
+    stack: Callable[[np.ndarray], Sequence[np.ndarray]]
+
+
+@dataclass(frozen=True, eq=False)
+class PipelineFamily:
+    """Pipelines that differ only in the value of one parameter.
+
+    `family(value)` builds the pipeline at one value; `sweep` evolves a
+    grid of them as a batch.
+    """
+
+    space: SpaceSpec
+    initial: StateVector
+    stages: tuple[Stage | SweptStage, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(self.stages))
+        problems = validate_stages(self.space, self.initial,
+                                   [s.template if isinstance(s, SweptStage) else s
+                                    for s in self.stages])
+        if problems:
+            raise PipelineError("; ".join(problems))
+
+    def __call__(self, value: float) -> Pipeline:
+        return Pipeline(self.space, self.initial,
+                        tuple(s.build(value) if isinstance(s, SweptStage) else s
+                              for s in self.stages))
+
+
+@dataclass(frozen=True, eq=False)
 class Branch:
     """One terminal measurement history: record, probability, residual state."""
 
@@ -196,16 +249,15 @@ def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> f
     return joint / p_given
 
 
-def _stage_operators(stage: Stage, space: SpaceSpec) -> list[tuple[str | None, np.ndarray]]:
-    """(outcome label, full-space matrix) per branch; label None = unitary."""
-    dims = space.dims
+def _local_operators(stage: Stage, space: SpaceSpec
+                     ) -> tuple[list[int], list[tuple[str | None, np.ndarray]]]:
+    """Target axes, and (outcome label, matrix on those axes) per branch;
+    label None = unitary."""
     if isinstance(stage, Unitary):
-        axes = [space.axis(t) for t in stage.targets]
-        return [(None, lift(stage.op.matrix, axes, dims))]
+        return [space.axis(t) for t in stage.targets], [(None, stage.op.matrix)]
     if isinstance(stage, GeneralizedMeasure):
-        axes = [space.axis(t) for t in stage.targets]
-        return [("yes", lift(stage.kraus.k_abs.matrix, axes, dims)),
-                ("no", lift(stage.kraus.k_noabs.matrix, axes, dims))]
+        return ([space.axis(t) for t in stage.targets],
+                [("yes", stage.kraus.k_abs.matrix), ("no", stage.kraus.k_noabs.matrix)])
     if isinstance(stage, ProjectiveMeasure):
         subsystem, names = stage.subsystem, stage.outcome_names or {}
     elif isinstance(stage, Detect):
@@ -214,8 +266,14 @@ def _stage_operators(stage: Stage, space: SpaceSpec) -> list[tuple[str | None, n
         raise TypeError(f"unknown stage {stage!r}")
     axis = space.axis(subsystem)
     sub = space.subsystems[axis]
-    return [(names.get(label, label), lift(label_projector(sub, label), [axis], dims))
-            for label in sub.labels]
+    return [axis], [(names.get(label, label), label_projector(sub, label))
+                    for label in sub.labels]
+
+
+def _stage_operators(stage: Stage, space: SpaceSpec) -> list[tuple[str | None, np.ndarray]]:
+    """(outcome label, full-space matrix) per branch; label None = unitary."""
+    axes, local = _local_operators(stage, space)
+    return [(outcome, lift(mat, axes, space.dims)) for outcome, mat in local]
 
 
 def _record_key(stage: Stage) -> str | None:
@@ -311,10 +369,12 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     Shot i consumes draws draw_unit(seed, i, k) with k counting the
     measurement stages in pipeline order, so the result is independent of
     evaluation order and reproducible bit for bit for a given
-    (pipeline, shots, seed).
+    (pipeline, shots, seed).  `seed` must lie in [0, 2**64).
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if not 0 <= seed < rng.SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     root, _ = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
     n_measurements = sum(1 for s in pipeline.stages if _record_key(s) is not None)
     draws = rng.unit_matrix(seed, shots, max(n_measurements, 1))
@@ -369,31 +429,150 @@ def visibility(probs: Sequence[float]) -> float:
     return (hi - lo) / (hi + lo)
 
 
+def _swept_operators(family: PipelineFamily, values: np.ndarray
+                     ) -> list[tuple[str | None, list[tuple[str | None, np.ndarray]]]]:
+    """(record key, `_stage_operators`) per stage of the family; a swept
+    stage's matrices carry a leading grid axis."""
+    space, out = family.space, []
+    for stage in family.stages:
+        if isinstance(stage, SweptStage):
+            axes, local = _local_operators(stage.template, space)
+            ops = [(outcome, lift(mat, axes, space.dims))
+                   for (outcome, _), mat in zip(local, stage.stack(values))]
+            out.append((_record_key(stage.template), ops))
+        else:
+            out.append((_record_key(stage), _stage_operators(stage, space)))
+    return out
+
+
+def _swept_leaves(initial: StateVector, stage_ops, points: int
+                  ) -> list[tuple[Record, np.ndarray, np.ndarray]]:
+    """`_branch_tree`'s analytic leaves at every grid point at once.
+
+    Amplitudes have shape (points, d).  Each leaf is (record, probability
+    per point, mask of the points whose walk keeps it); the arithmetic per
+    point is `_branch_tree`'s, operation for operation, so kept values are
+    bit for bit the same.  A subtree that no point keeps is not walked.
+    """
+    leaves = []
+    stack = [(0, np.tile(initial.amps, (points, 1)), np.ones(points), (),
+              np.ones(points, dtype=bool))]
+    while stack:
+        depth, amps, prob, record, kept = stack.pop()
+        while depth < len(stage_ops) and stage_ops[depth][0] is None:
+            amps = np.matmul(stage_ops[depth][1][0][1], amps[..., None])[..., 0]
+            depth += 1
+        if depth == len(stage_ops):
+            leaves.append((record, prob, kept))
+            continue
+        key, ops = stage_ops[depth]
+        pending = []
+        for outcome, mat in ops:
+            sub = np.matmul(mat, amps[..., None])[..., 0]
+            weight = np.vecdot(sub, sub).real
+            branch_prob = prob * weight
+            live = kept & (branch_prob >= PRUNE_PROB)
+            if live.any():
+                # Zero-weight points are not kept; they get zeros, not 0/0.
+                sub = np.divide(sub, np.sqrt(weight)[:, None], out=np.zeros_like(sub),
+                                where=(weight > 0.0)[:, None])
+                pending.append((depth + 1, sub, branch_prob, record + ((key, outcome),),
+                                live))
+        stack.extend(reversed(pending))
+    return leaves
+
+
+def _swept_points(family: PipelineFamily, grid: Sequence[float],
+                  given: Predicate | None) -> list[SweepPoint] | None:
+    """`sweep`'s points from batched walks over SWEEP_CHUNK grid points at a
+    time, or None if a stage rejects a grid value."""
+    points: list[SweepPoint] = []
+    for start in range(0, len(grid), SWEEP_CHUNK):
+        chunk = grid[start:start + SWEEP_CHUNK]
+        try:
+            stage_ops = _swept_operators(family, np.asarray(chunk, dtype=np.float64))
+        except Exception:  # whatever `SweptStage.build` raises for the value
+            return None
+        points += _chunk_points(family.initial, stage_ops, chunk, given)
+    return points
+
+
+def _chunk_points(initial: StateVector, stage_ops, grid: Sequence[float],
+                  given: Predicate | None) -> list[SweepPoint]:
+    """The points of one batched walk, equal to the per-point ones."""
+    leaves = [(dict(record), prob, kept)
+              for record, prob, kept in _swept_leaves(initial, stage_ops, len(grid))]
+
+    def total(of: Predicate) -> tuple[np.ndarray, np.ndarray]:
+        """`marginal` at every point: the sum over kept leaves in
+        depth-first order, and whether any kept leaf matched."""
+        acc, hit = np.zeros(len(grid)), np.zeros(len(grid), dtype=bool)
+        for outcomes, prob, kept in leaves:
+            if of(outcomes):
+                acc = acc + np.where(kept, prob, 0.0)
+                hit = hit | kept
+        return acc, hit
+
+    def values(acc: np.ndarray, hit: np.ndarray) -> list:
+        """The sums as `marginal` returns them: the int 0 of an empty sum
+        where no leaf matched."""
+        out = acc.tolist()
+        for i in np.flatnonzero(~hit).tolist():
+            out[i] = 0
+        return out
+
+    is_x, is_y = matches(detector="X"), matches(detector="Y")
+    sums = total(lambda outcomes: True)
+    p_given = total(given)[0] if given is not None else np.ones(len(grid))
+    # The point-by-point checks of `OutcomeDistribution` and `conditional`,
+    # raised for the first point that fails one, as the loop would.
+    bad_sum = np.abs(sums[0] - 1.0) > ATOL_DIST_SUM
+    failed = np.flatnonzero(bad_sum | (p_given == 0.0))
+    if failed.size:
+        if bad_sum[failed[0]]:
+            raise ValueError(f"branch probabilities sum to {values(*sums)[failed[0]]!r}, not 1")
+        raise ZeroProbabilityEventError("conditioning event has zero probability")
+    prob_x, prob_y = values(*total(is_x)), values(*total(is_y))
+    if given is None:
+        return [SweepPoint(*point) for point in zip(grid, prob_x, prob_y)]
+    cond_x = (total(lambda o: given(o) and is_x(o))[0] / p_given).tolist()
+    cond_y = (total(lambda o: given(o) and is_y(o))[0] / p_given).tolist()
+    return [SweepPoint(*point) for point in zip(grid, prob_x, prob_y, cond_x, cond_y)]
+
+
 def sweep(build: Callable[[float], Pipeline], parameter: str,
           grid: Sequence[float], given: Predicate | None = None) -> SweepResult:
     """Run `build(value)` analytically over the grid.
 
     The visibility is computed from Prob{X} per point, conditioned on
-    `given` when provided.  Grid points are independent of each other; they
-    are evaluated in grid order.
+    `given` when provided.  A `PipelineFamily` runs as a batch: per
+    SWEEP_CHUNK grid points, each stage is lifted once and one depth-first
+    walk evolves those points together, with the per-point results of the
+    loop below bit for bit.  Any other callable, and a family with a grid
+    value that one of its stages rejects, runs point by point in grid
+    order, so errors surface at the first point that raises them.
     """
     if len(grid) == 0:
         raise ValueError("sweep grid must not be empty")
     if any(not math.isfinite(v) for v in grid):
         raise ValueError("sweep grid contains non-finite values")
-    points = []
-    for value in grid:
-        dist = run_analytic(build(value))
-        prob_x = marginal(dist, matches(detector="X"))
-        prob_y = marginal(dist, matches(detector="Y"))
-        if given is None:
-            points.append(SweepPoint(value, prob_x, prob_y))
-        else:
-            points.append(SweepPoint(
-                value, prob_x, prob_y,
-                conditional(dist, given, matches(detector="X")),
-                conditional(dist, given, matches(detector="Y")),
-            ))
+    points = _swept_points(build, grid, given) if isinstance(build, PipelineFamily) else None
+    if points is None:
+        # Also where a stage rejects some grid value: the loop raises the
+        # error at the first point where it occurs.
+        points = []
+        for value in grid:
+            dist = run_analytic(build(value))
+            prob_x = marginal(dist, matches(detector="X"))
+            prob_y = marginal(dist, matches(detector="Y"))
+            if given is None:
+                points.append(SweepPoint(value, prob_x, prob_y))
+            else:
+                points.append(SweepPoint(
+                    value, prob_x, prob_y,
+                    conditional(dist, given, matches(detector="X")),
+                    conditional(dist, given, matches(detector="Y")),
+                ))
     fringe = [p.prob_x if given is None else p.cond_x for p in points]
     return SweepResult(parameter, tuple(grid), tuple(points), visibility(fringe))
 

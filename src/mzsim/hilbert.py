@@ -43,8 +43,8 @@ class SpaceMismatchError(ValueError):
 
 
 def _as_complex_array(values, shape_name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).copy()
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    arr = np.array(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
         raise ValueError(f"non-finite entries in {shape_name}")
     arr.setflags(write=False)
     return arr
@@ -188,11 +188,13 @@ class StateVector:
         arr = _as_complex_array(self.amps, "state vector")
         if arr.shape != (self.space.dim,):
             raise ValueError(f"amplitude count {arr.shape} != space dim {self.space.dim}")
-        if self.normalized and abs(np.linalg.norm(arr) - 1.0) > ATOL_NORM:
-            raise ValueError(
-                f"state tagged normalized has norm {np.linalg.norm(arr)!r}; "
-                "renormalize explicitly or pass normalized=False"
-            )
+        if self.normalized:
+            norm = math.sqrt(np.vdot(arr, arr).real)
+            if abs(norm - 1.0) > ATOL_NORM:
+                raise ValueError(
+                    f"state tagged normalized has norm {np.float64(norm)!r}; "
+                    "renormalize explicitly or pass normalized=False"
+                )
         object.__setattr__(self, "amps", arr)
 
     @property
@@ -261,21 +263,23 @@ def lift(matrix: np.ndarray, axes: Sequence[int], dims: Sequence[int]) -> np.nda
     """Full-space matrix of `matrix` acting on the subsystems at `axes`, in
     that order, and as the identity on the others.
 
-    `dims` are the subsystem dimensions of the full space and `matrix` is
-    square over the product of `dims[axes]`.  Nothing is validated; `embed`
-    and `projector` are the checked entry points.
+    `dims` are the subsystem dimensions of the full space and the last two
+    axes of `matrix` are square over the product of `dims[axes]`; leading
+    axes are a batch, lifted matrix by matrix.  Nothing is validated;
+    `embed` and `projector` are the checked entry points.
     """
     rest = [k for k in range(len(dims)) if k not in axes]
     order = [*axes, *rest]
     shape = [dims[k] for k in order]
     rest_dim = math.prod(dims[k] for k in rest)
-    d = matrix.shape[0] * rest_dim
+    d = matrix.shape[-1] * rest_dim
+    batch = list(matrix.shape[:-2])
     # op (x) I_rest with one tensor axis per subsystem, rows then columns,
     # in `order`; the transpose moves every axis back to its place in space.
-    block = matrix[:, None, :, None] * np.eye(rest_dim)[None, :, None, :]
-    where = [order.index(k) for k in range(len(dims))]
-    perm = where + [len(dims) + k for k in where]
-    return block.reshape(shape + shape).transpose(perm).reshape(d, d)
+    block = matrix[..., :, None, :, None] * np.eye(rest_dim)[:, None, :]
+    where = [len(batch) + order.index(k) for k in range(len(dims))]
+    perm = [*range(len(batch)), *where, *(len(dims) + k for k in where)]
+    return block.reshape(batch + shape + shape).transpose(perm).reshape(batch + [d, d])
 
 
 def label_projector(sub: SubsystemSpec, label: str) -> np.ndarray:

@@ -21,7 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
+#: Seeds are integers in [0, SEED_LIMIT); `mix64` would alias any other.
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 _INV_2_53 = 1.0 / (1 << 53)
 
 

@@ -139,6 +139,28 @@ class TestSeedResolution:
         code, _, err = run_cli(capsys, "run", path("entangler.mzx"), "--shots", "100")
         assert code == 1 and "MZX_SEED" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_1(self, capsys, monkeypatch, seed):
+        monkeypatch.delenv("MZX_SEED", raising=False)
+        code, out, err = run_cli(capsys, "run", path("eraser_eta_half.mzx"),
+                                 "--shots", "100", "--seed", str(seed))
+        assert (code, out) == (1, "")
+        assert err == f"error: --seed must lie in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_env_seed_outside_64_bits_exits_1(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("MZX_SEED", str(seed))
+        code, out, err = run_cli(capsys, "run", path("eraser_eta_half.mzx"),
+                                 "--shots", "100")
+        assert (code, out) == (1, "")
+        assert err == f"error: MZX_SEED must lie in [0, 2**64), got {seed}\n"
+
+    def test_largest_seed_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("MZX_SEED", str(2**64 - 1))
+        code, out, _ = run_cli(capsys, "run", path("eraser_eta_half.mzx"),
+                               "--shots", "100")
+        assert code == 0 and f"seed: {2**64 - 1}" in out
+
 
 class TestSweep:
     def test_baseline_full_visibility(self, capsys):
@@ -188,6 +210,15 @@ class TestSweep:
                              "--param", "phi", "--from", "0", "--to", "1",
                              "--steps", "4")
         assert code == 1
+
+    @pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "1"), ("0", "1e308pi"),
+                                        ("-1e308", "1e308")])
+    def test_non_finite_grid_exits_1(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),
+                                 "--param", "phi", f"--from={bounds[0]}",
+                                 f"--to={bounds[1]}", "--steps", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: sweep grid contains non-finite values\n"
 
     def test_sweep_output_is_deterministic(self, capsys):
         args = ("sweep", path("eraser_phase.mzx"), "--param", "phi",

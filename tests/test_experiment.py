@@ -373,6 +373,15 @@ class TestRunSampled:
         with pytest.raises(ValueError):
             run_sampled(baseline_pipeline(), 0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            run_sampled(eraser_pipeline(0.5), 10, seed)
+
+    def test_largest_seed_accepted(self):
+        hist = run_sampled(eraser_pipeline(0.5), 10, 2**64 - 1)
+        assert hist.seed == 2**64 - 1 and sum(hist.counts.values()) == 10
+
     def test_frequencies_converge_over_seeds(self):
         # 5-sigma binomial bounds per (seed, branch); at most one excursion.
         p = eraser_pipeline(0.5)

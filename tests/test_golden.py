@@ -26,6 +26,9 @@ FILES = sorted(p.name for p in (ROOT / "experiments").glob("*.mzx"))
 ERASER_FILES = [f for f in FILES if f.startswith("eraser")]
 PHASE_FILES = [f for f in FILES if f.endswith("_phase.mzx")]
 SWEEP = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "16"]
+SWEEP_64 = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "64"]
+#: Kept beside the golden file so that no benchmark input changes with it.
+ETA_FILE = "tests/golden/eraser_eta.mzx"
 
 
 def commands() -> list[list[str]]:
@@ -40,8 +43,19 @@ def commands() -> list[list[str]]:
                         "--given", "abs=yes"])
         for name in PHASE_FILES:
             out.append(["sweep", f"experiments/{name}", *SWEEP, "--format", fmt])
-        out.append(["sweep", "experiments/eraser_phase.mzx", *SWEEP, "--format", fmt,
-                    "--given", "abs=yes"])
+        for given in ("abs=yes", "abs=no"):
+            out.append(["sweep", "experiments/eraser_phase.mzx", *SWEEP, "--format", fmt,
+                        "--given", given])
+    for name in PHASE_FILES:
+        out.append(["sweep", f"experiments/{name}", *SWEEP_64, "--format", "json"])
+    # P(Y) = 0 at phi = 0: conditioning on it exits 3.
+    out.append(["sweep", "experiments/baseline_phase.mzx", *SWEEP, "--format", "json",
+                "--given", "detector=Y"])
+    # eta = 0 is outside (0, 1]: exits 1.
+    out.append(["sweep", ETA_FILE, "--param", "eta", "--from", "0", "--to", "1",
+                "--steps", "4", "--format", "json"])
+    out.append(["sweep", ETA_FILE, "--param", "eta", "--from", "0.25", "--to", "1.25",
+                "--steps", "4", "--format", "json", "--given", "abs=yes"])
     return out
 
 

@@ -189,6 +189,20 @@ class TestLift:
         got = lift(op.matrix, [space.axis(t) for t in targets], space.dims)
         assert np.array_equal(got, embed_oracle(op, targets, space))
 
+    @pytest.mark.parametrize("targets", [
+        targets for k in (1, 2, 3)
+        for targets in itertools.permutations(["left", "mid", "right"], k)])
+    def test_batch_equals_matrix_by_matrix_exactly(self, targets):
+        rng = np.random.default_rng(10 + len(targets))
+        space = space_of(AB, PQR, UV)
+        k = space.restricted(targets).dim
+        stack = rng.normal(size=(5, k, k)) + 1j * rng.normal(size=(5, k, k))
+        axes = [space.axis(t) for t in targets]
+        got = lift(stack, axes, space.dims)
+        assert got.shape == (5, space.dim, space.dim)
+        for mat, lifted in zip(stack, got):
+            assert np.array_equal(lifted, lift(mat, axes, space.dims))
+
 
 class TestEmbed:
     def test_adjacent_targets_reduce_to_kron(self):
