@@ -135,7 +135,8 @@ def which_way_readout(psi: StateVector, rng_draw: float) -> tuple[str, StateVect
     else:
         proj = projector(psi.space, "direction", "y")
         outcome, prob = "B", 1.0 - prob_a
-    assert prob > 0.0, "drew a zero-probability which-way branch"
+    if not prob > 0.0:
+        raise RuntimeError("drew a zero-probability which-way branch")
     collapsed = apply(proj, psi).renormalized()
     return outcome, collapsed, prob
 
@@ -166,7 +167,7 @@ class EraserKrausPair:
         return self.k_abs.space
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def eraser_kraus(eta: float, mode: str = "symmetric") -> EraserKrausPair:
     """Probabilistic absorption of the which-way photon by the eraser atom.
 

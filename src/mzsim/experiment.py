@@ -1,11 +1,13 @@
 """Pipeline assembly and execution.
 
 A `Pipeline` is an initial state plus an ordered list of stages over one
-space.  One depth-first walk, `_branch_tree`, evolves every measurement
-branch of positive probability.  `run_analytic` reports its leaves exactly;
-`run_sampled` draws per-shot outcomes down the same tree with a
-counter-based RNG (see `rng`), so exact enumeration is always the source of
-truth and sampling is validated against it.
+space.  One breadth-first walk, `_branch_tree`, evolves every measurement
+branch of positive probability, one measurement level at a time, as the
+rows of a (branches, d) amplitude array.  `run_analytic` reports its leaves
+exactly; `run_sampled` draws per-shot outcomes down the same levels with a
+counter-based RNG (see `rng`), SHOT_BLOCK shots at a time, so its memory is
+O(SHOT_BLOCK x measurement stages) for any shot count.  Exact enumeration
+is always the source of truth and sampling is validated against it.
 
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
 `dsl.sweep_template` returns) runs as a batch: its swept stages are stacked
@@ -40,6 +42,9 @@ ATOL_DELAYED = 1e-12
 #: Grid points per batched sweep walk; a lifted (points, d, d) stage stack
 #: then takes at most 9 MiB at d = 24, the largest space `dsl` builds.
 SWEEP_CHUNK = 1024
+#: Shots per sampling block; a block's draws take SHOT_BLOCK x 8 bytes per
+#: measurement stage.
+SHOT_BLOCK = 1 << 15
 
 Record = tuple[tuple[str, str], ...]
 Predicate = Callable[[Mapping[str, str]], bool]
@@ -270,10 +275,12 @@ def _local_operators(stage: Stage, space: SpaceSpec
                     for label in sub.labels]
 
 
-def _stage_operators(stage: Stage, space: SpaceSpec) -> list[tuple[str | None, np.ndarray]]:
-    """(outcome label, full-space matrix) per branch; label None = unitary."""
+def _stage_operators(stage: Stage, space: SpaceSpec) -> tuple[list[str | None], np.ndarray]:
+    """Outcome label per branch (None = unitary) and the branches' full-space
+    matrices as one (branches, d, d) stack, lifted in one call."""
     axes, local = _local_operators(stage, space)
-    return [(outcome, lift(mat, axes, space.dims)) for outcome, mat in local]
+    return ([outcome for outcome, _ in local],
+            lift(np.array([mat for _, mat in local]), axes, space.dims))
 
 
 def _record_key(stage: Stage) -> str | None:
@@ -282,67 +289,56 @@ def _record_key(stage: Stage) -> str | None:
     return None
 
 
-@dataclass(slots=True)
-class _Node:
-    """One measurement stage's outcome weights in the branch tree.
-
-    `children[j]` is the subtree of outcome j: a `_Node`, the leaf's record,
-    or None where the outcome has probability 0.
-    """
-
-    weights: list[float]
-    children: list
-
-
 Leaf = tuple[Record, float, np.ndarray]
 
 
-def _branch_tree(space: SpaceSpec, initial: StateVector,
-                 stages: Sequence[Stage]) -> tuple[_Node | Record, list[Leaf]]:
-    """Depth-first exact evolution of every measurement branch.
+def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
+                 ) -> tuple[list[np.ndarray], list[Record], list[Leaf]]:
+    """Breadth-first exact evolution of every measurement branch.
 
-    Returns the tree of conditional outcome weights and, in depth-first
-    order, the leaves (record, probability, normalized amplitudes) that no
-    branch below PRUNE_PROB leads to.  The tree keeps every outcome of
-    positive probability, since any of them can be drawn.  Stage order is
-    taken as given (the delayed-choice check deliberately runs stage lists
-    that would not validate as a user pipeline).
+    The walk holds the live branches of one measurement level as rows of a
+    (B, d) amplitude array.  A measurement stage with n outcomes maps them to
+    (B, n, d) sub-amplitudes and (B, n) weights, and every outcome of
+    positive weight becomes a row of the next level, parent-major and
+    outcome-minor, so rows stay in depth-first order and each row's
+    arithmetic is that of a walk down its own branch.
+
+    Returns the (B, n) weight array of each measurement level, the record
+    of every final row, and, in depth-first order, the leaves (record,
+    probability, normalized amplitudes) that no branch below PRUNE_PROB
+    leads to.  The final rows keep every outcome of positive probability,
+    since any of them can be drawn.  Stage order is taken as given (the
+    delayed-choice check deliberately runs stage lists that would not
+    validate as a user pipeline).
     """
-    stage_ops = [(_record_key(s), _stage_operators(s, space)) for s in stages]
-    leaves: list[Leaf] = []
-    top: list = [None]
-    # (stage index, amplitudes, probability, record, above the prune
-    # threshold so far, list holding the subtree, slot in that list)
-    stack = [(0, initial.amps, 1.0, (), True, top, 0)]
-    while stack:
-        depth, amps, prob, record, kept, parent, slot = stack.pop()
-        while depth < len(stage_ops) and stage_ops[depth][0] is None:
-            amps = stage_ops[depth][1][0][1] @ amps
-            depth += 1
-        if depth == len(stage_ops):
-            parent[slot] = record
-            if kept:
-                leaves.append((record, prob, amps))
+    amps = initial.amps[None, :]
+    prob = np.ones(1)
+    kept = np.ones(1, dtype=bool)
+    records: list[Record] = [()]
+    levels: list[np.ndarray] = []
+    for stage in stages:
+        key, (outcomes, mats) = _record_key(stage), _stage_operators(stage, space)
+        if key is None:
+            amps = np.matmul(mats[0], amps[..., None])[..., 0]
             continue
-        key, ops = stage_ops[depth]
-        weights, children, pending = [], [None] * len(ops), []
-        for j, (outcome, mat) in enumerate(ops):
-            sub = mat @ amps
-            weight = float(np.vdot(sub, sub).real)
-            weights.append(weight)
-            if weight > 0.0:
-                branch_prob = prob * weight
-                pending.append((depth + 1, sub / math.sqrt(weight), branch_prob,
-                                record + ((key, outcome),),
-                                kept and branch_prob >= PRUNE_PROB, children, j))
-        parent[slot] = _Node(weights, children)
-        stack.extend(reversed(pending))
-    return top[0], leaves
+        sub = np.matmul(mats, amps[:, None, :, None])[..., 0]
+        weights = np.vecdot(sub, sub).real
+        levels.append(weights)
+        rows, outs = np.nonzero(weights > 0.0)
+        weight = weights[rows, outs]
+        amps = sub[rows, outs] / np.sqrt(weight)[:, None]
+        prob = prob[rows] * weight
+        kept = kept[rows] & (prob >= PRUNE_PROB)
+        pairs = [((key, outcome),) for outcome in outcomes]
+        records = [records[r] + pairs[o] for r, o in zip(rows.tolist(), outs.tolist())]
+    leaves = [(records[i], p, amps[i])
+              for i, p in zip(np.flatnonzero(kept).tolist(), prob[kept].tolist())]
+    return levels, records, leaves
 
 
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
     """Exact outcome distribution of a pipeline."""
-    _, leaves = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    _, _, leaves = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
     return OutcomeDistribution(tuple(Branch(record, prob, StateVector(pipeline.space, amps))
                                      for record, prob, amps in leaves))
 
@@ -363,6 +359,25 @@ class ShotHistogram:
         return self.counts.get(record, 0) / self.shots
 
 
+def _shot_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sampling table of one level of (B, n) outcome weights.
+
+    Returns the cumulative weights as an (n, B) array and, flattened, a
+    (B, n + 1) table of next-level rows: entry [b, c] is the row a shot in
+    branch b moves to when c of the branch's cumulative weights are at or
+    below its draw.  That is outcome c's row, except that roundoff at the
+    top end (c past the last positive outcome) picks the last positive
+    outcome.  A zero-weight outcome has no row: -1.
+    """
+    branches, n = weights.shape
+    positive = weights > 0.0
+    child = np.where(positive, np.cumsum(positive).reshape(branches, n) - 1, -1)
+    last_positive = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    picked = np.minimum(np.arange(n + 1), last_positive[:, None])
+    next_row = np.take_along_axis(child, picked, axis=1)
+    return np.cumsum(weights, axis=1).T.copy(), next_row.ravel()
+
+
 def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     """Monte Carlo shot sampling with per-shot RNG substreams.
 
@@ -370,36 +385,38 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     measurement stages in pipeline order, so the result is independent of
     evaluation order and reproducible bit for bit for a given
     (pipeline, shots, seed).  `seed` must lie in [0, 2**64).
+
+    Shots walk `_branch_tree`'s levels SHOT_BLOCK at a time: at each level
+    a shot takes the first outcome of its branch whose cumulative weight
+    exceeds its draw, and moves to that outcome's row of the next level.
+    Memory is O(SHOT_BLOCK x measurement stages) whatever the shot count.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if not 0 <= seed < rng.SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    root, _ = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
-    n_measurements = sum(1 for s in pipeline.stages if _record_key(s) is not None)
-    draws = rng.unit_matrix(seed, shots, max(n_measurements, 1))
+    levels, records, _ = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    tables = [_shot_table(weights) for weights in levels]
+    totals = np.zeros(len(records), dtype=np.int64)
+    for start in range(0, shots, SHOT_BLOCK):
+        block = min(SHOT_BLOCK, shots - start)
+        draws = rng.unit_matrix(seed, block, max(len(levels), 1), start)
+        row = np.zeros(block, dtype=np.intp)
+        for depth, (cum, next_row) in enumerate(tables):
+            u = draws[:, depth]
+            # Count the cumulative weights of each shot's branch at or
+            # below its draw: searchsorted(cum, u, side="right").
+            at = row * (len(cum) + 1)
+            for column in cum:
+                at += np.take(column, row) <= u
+            row = np.take(next_row, at)
+            if row.min() < 0:
+                raise RuntimeError("drew a zero-probability outcome")
+        totals += np.bincount(row, minlength=len(records))
     counts: dict[Record, int] = {}
-    stack = [(root, np.arange(shots), 0)]
-    while stack:
-        node, shot_indices, depth = stack.pop()
-        if not isinstance(node, _Node):
-            counts[node] = counts.get(node, 0) + len(shot_indices)
-            continue
-        u = draws[shot_indices, depth]
-        # First outcome whose cumulative weight exceeds the draw; clamp
-        # roundoff at the top end onto the last positive outcome.
-        picked = np.searchsorted(np.cumsum(node.weights), u, side="right")
-        last_positive = max(j for j, c in enumerate(node.children) if c is not None)
-        picked = np.minimum(picked, last_positive)
-        for j, child in enumerate(node.children):
-            selected = shot_indices[picked == j]
-            if len(selected) == 0:
-                continue
-            assert child is not None, "drew a zero-probability outcome"
-            stack.append((child, selected, depth + 1))
-
-    ordered = dict(sorted(counts.items()))
-    return ShotHistogram(shots=shots, seed=seed, counts=ordered)
+    for i in np.flatnonzero(totals).tolist():
+        counts[records[i]] = counts.get(records[i], 0) + int(totals[i])
+    return ShotHistogram(shots=shots, seed=seed, counts=dict(sorted(counts.items())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,8 +448,8 @@ def visibility(probs: Sequence[float]) -> float:
 
 def _swept_operators(family: PipelineFamily, values: np.ndarray
                      ) -> list[tuple[str | None, list[tuple[str | None, np.ndarray]]]]:
-    """(record key, `_stage_operators`) per stage of the family; a swept
-    stage's matrices carry a leading grid axis."""
+    """(record key, [(outcome label, full-space matrix)]) per stage of the
+    family; a swept stage's matrices carry a leading grid axis."""
     space, out = family.space, []
     for stage in family.stages:
         if isinstance(stage, SweptStage):
@@ -441,7 +458,7 @@ def _swept_operators(family: PipelineFamily, values: np.ndarray
                    for (outcome, _), mat in zip(local, stage.stack(values))]
             out.append((_record_key(stage.template), ops))
         else:
-            out.append((_record_key(stage), _stage_operators(stage, space)))
+            out.append((_record_key(stage), list(zip(*_stage_operators(stage, space)))))
     return out
 
 
@@ -602,9 +619,9 @@ def delayed_choice_equivalence(pipeline: Pipeline, tol: float = ATOL_DELAYED) ->
         raise PipelineError("pipeline has no detect stage after the eraser")
 
     original = _joint_table(_branch_tree(pipeline.space, pipeline.initial,
-                                         pipeline.stages)[1])
+                                         pipeline.stages)[2])
     reordered = _joint_table(_branch_tree(pipeline.space, pipeline.initial,
-                                          tuple(kept) + tuple(moved))[1])
+                                          tuple(kept) + tuple(moved))[2])
     for key in original.keys() | reordered.keys():
         if abs(original.get(key, 0.0) - reordered.get(key, 0.0)) > tol:
             return False

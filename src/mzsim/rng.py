@@ -64,20 +64,36 @@ class SubstreamSampler:
         return u
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """`mix64` on every element of a uint64 array, overwriting it."""
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
 
 
-def unit_matrix(seed: int, streams: int, draws: int) -> np.ndarray:
+def unit_matrix(seed: int, streams: int, draws: int, first: int = 0) -> np.ndarray:
     """Uniform [0,1) doubles, shape (streams, draws).
 
-    Row i column k equals draw_unit(seed, i, k) bit for bit; rows are the
-    per-stream substreams, so any subset of rows is independent of the rest.
+    Row i column k equals draw_unit(seed, first + i, k) bit for bit: the
+    rows are substreams first, ..., first + streams - 1, so the matrix is
+    rows first...first + streams of the one that starts at stream 0, and
+    any subset of rows is independent of the rest.  Array arithmetic on
+    uint64 wraps modulo 2**64, as the scalar functions mask.  The result is
+    the transpose of a (draws, streams) array, so each column is contiguous.
     """
-    idx = np.arange(streams, dtype=np.uint64)
-    keys = _mix64_vec(np.uint64(mix64(seed)) + idx * np.uint64(GAMMA))
-    counters = (np.arange(draws, dtype=np.uint64) + np.uint64(1)) * np.uint64(GAMMA)
-    words = _mix64_vec(keys[:, None] + counters[None, :])
-    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    keys = np.arange(first, first + streams, dtype=np.uint64)
+    keys *= GAMMA
+    keys += mix64(seed)
+    _mix64_inplace(keys)
+    counters = np.arange(1, draws + 1, dtype=np.uint64)
+    counters *= GAMMA
+    words = np.add.outer(counters, keys)
+    _mix64_inplace(words)
+    words >>= 11
+    # Exact: the 53-bit integers convert to doubles without rounding.
+    return np.multiply(words, _INV_2_53).T

@@ -1,3 +1,4 @@
+import ast
 import gc
 import math
 import tracemalloc
@@ -261,7 +262,8 @@ def naive_run_sampled(pipeline, shots, seed):
     return dict(sorted(counts.items()))
 
 
-EXPERIMENTS = sorted((Path(__file__).resolve().parent.parent / "experiments").glob("*.mzx"))
+EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "experiments"
+EXPERIMENTS = sorted(EXPERIMENTS_DIR.glob("*.mzx"))
 
 
 def shipped_pipeline(path):
@@ -324,6 +326,22 @@ class TestAgainstDenseReference:
         p = random_pipeline(seed)
         assert run_sampled(p, 300, seed).counts == naive_run_sampled(p, 300, seed)
 
+    @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.name)
+    def test_shipped_experiments_sampled_in_small_blocks(self, path, monkeypatch):
+        p = shipped_pipeline(path)
+        default = run_sampled(p, 101, 2**64 - 1).counts
+        monkeypatch.setattr(exp, "SHOT_BLOCK", 7)
+        blocked = run_sampled(p, 101, 2**64 - 1).counts
+        assert blocked == default == naive_run_sampled(p, 101, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_stage_lists_sampled_in_small_blocks(self, seed, monkeypatch):
+        p = random_pipeline(seed)
+        default = run_sampled(p, 150, seed).counts
+        monkeypatch.setattr(exp, "SHOT_BLOCK", 7)
+        blocked = run_sampled(p, 150, seed).counts
+        assert blocked == default == naive_run_sampled(p, 150, seed)
+
 
 class TestRunSampled:
     def test_baseline_lands_entirely_in_x(self):
@@ -364,6 +382,29 @@ class TestRunSampled:
             tracemalloc.stop()
             gc.enable()
         assert held < 2**20
+
+    def test_memory_does_not_grow_with_the_shot_count(self):
+        p = shipped_pipeline(EXPERIMENTS_DIR / "eraser_eta_half.mzx")
+        run_sampled(p, 10, 1)
+        tracemalloc.start()
+        try:
+            hist = run_sampled(p, 2_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.counts.values()) == 2_000_000
+        assert peak < 16 * 2**20
+
+    def test_drawing_a_zero_probability_outcome_raises(self, monkeypatch):
+        # Source B exits at Y only; a draw below 0 would pick outcome X.
+        space = comp.direction_space()
+        p = Pipeline(space, space.basis_state(("y",)),
+                     (unitary_on(comp.beam_splitter()), unitary_on(comp.mirror_pair()),
+                      unitary_on(comp.beam_splitter()), Detect()))
+        monkeypatch.setattr(rng, "unit_matrix",
+                            lambda seed, streams, draws, first=0: np.full((streams, draws), -1.0))
+        with pytest.raises(RuntimeError, match="zero-probability"):
+            run_sampled(p, 10, 1)
 
     def test_counts_sum_to_shots(self):
         hist = run_sampled(eraser_pipeline(0.5), 1234, 3)
@@ -473,3 +514,12 @@ class TestPipelineValidation:
         other = comp.tagged_space()
         with pytest.raises(PipelineError):
             Pipeline(space, other.basis_state(("x", "vac", "e")), (Detect(),))
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so no check in the package may be one.
+    package = Path(exp.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name}: assert at lines {asserts}"

@@ -27,8 +27,9 @@ ERASER_FILES = [f for f in FILES if f.startswith("eraser")]
 PHASE_FILES = [f for f in FILES if f.endswith("_phase.mzx")]
 SWEEP = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "16"]
 SWEEP_64 = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "64"]
-#: Kept beside the golden file so that no benchmark input changes with it.
+#: Kept beside the golden file so that no benchmark input changes with them.
 ETA_FILE = "tests/golden/eraser_eta.mzx"
+TREE_FILE = "tests/golden/readout_tree.mzx"
 
 
 def commands() -> list[list[str]]:
@@ -56,6 +57,14 @@ def commands() -> list[list[str]]:
                 "--steps", "4", "--format", "json"])
     out.append(["sweep", ETA_FILE, "--param", "eta", "--from", "0.25", "--to", "1.25",
                 "--steps", "4", "--format", "json", "--given", "abs=yes"])
+    # Shot counts that cross sampling block boundaries, the largest seed,
+    # and a 128-leaf tree.
+    out.append(["run", "experiments/whichway_readout.mzx", "--shots", "100003",
+                "--seed", "5", "--format", "json"])
+    out.append(["run", "experiments/eraser_eta_half.mzx", "--shots", "100003",
+                "--seed", "18446744073709551615", "--format", "json", "--given", "abs=yes"])
+    out.append(["run", TREE_FILE, "--format", "table"])
+    out.append(["run", TREE_FILE, "--format", "table", "--shots", "70001", "--seed", "9"])
     return out
 
 

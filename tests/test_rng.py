@@ -47,6 +47,22 @@ def test_unit_matrix_matches_scalar_draws():
             assert u[i, k] == rng.draw_unit(99, i, k)
 
 
+@pytest.mark.parametrize("seed", [0, 99, MASK])
+def test_unit_matrix_from_a_first_stream_is_a_row_slice(seed):
+    full = rng.unit_matrix(seed, 300, 4)
+    for first, streams in ((0, 300), (0, 1), (7, 100), (299, 1), (123, 177)):
+        block = rng.unit_matrix(seed, streams, 4, first)
+        assert block.tobytes() == full[first:first + streams].tobytes()
+
+
+def test_unit_matrix_far_first_stream_matches_scalar_draws():
+    first = 2**40 + 5
+    u = rng.unit_matrix(MASK, 3, 2, first)
+    for i in range(3):
+        for k in range(2):
+            assert u[i, k] == rng.draw_unit(MASK, first + i, k)
+
+
 def test_unit_range_and_spread():
     u = rng.unit_matrix(seed=3, streams=1000, draws=4)
     assert np.all(u >= 0.0) and np.all(u < 1.0)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzsim import components as comp
 from mzsim import dsl
 from mzsim import experiment as exp
 from mzsim.experiment import matches, sweep
@@ -101,10 +102,10 @@ def test_family_builds_the_compiled_pipeline():
         assert [type(s) for s in built.stages] == [type(s) for s in compiled.stages]
         for a, b in zip(built.stages, compiled.stages):
             assert exp._record_key(a) == exp._record_key(b)
-            ops_a = exp._stage_operators(a, built.space)
-            ops_b = exp._stage_operators(b, compiled.space)
-            assert [o for o, _ in ops_a] == [o for o, _ in ops_b]
-            assert all(np.array_equal(m, n) for (_, m), (_, n) in zip(ops_a, ops_b))
+            outcomes_a, mats_a = exp._stage_operators(a, built.space)
+            outcomes_b, mats_b = exp._stage_operators(b, compiled.space)
+            assert outcomes_a == outcomes_b
+            assert np.array_equal(mats_a, mats_b)
 
 
 def test_family_raises_what_compile_raises():
@@ -162,6 +163,13 @@ def test_chunked_batches_equal_point_by_point(monkeypatch, condition):
     for name in PHASE_FILES:
         batched, reference = both(load(name), "phi", grid, condition)
         assert batched == reference
+
+
+def test_long_eta_sweep_leaves_a_bounded_kraus_cache():
+    ast = dsl.parse_text((ROOT / "tests" / "golden" / "eraser_eta.mzx").read_text())
+    grid = [(k + 1) / 1000 for k in range(1000)]
+    sweep(dsl.sweep_template(ast, "eta"), "eta", grid)
+    assert comp.eraser_kraus.cache_info().currsize <= 256
 
 
 def test_long_sweep_memory_is_bounded():
