@@ -3,8 +3,11 @@
 A `Pipeline` is an initial state plus an ordered list of stages over one
 space.  One breadth-first walk, `_branch_tree`, evolves every measurement
 branch of positive probability, one measurement level at a time, as the
-rows of a (branches, d) amplitude array.  `run_analytic` reports its leaves
-exactly; `run_sampled` draws per-shot outcomes down the same levels with a
+rows of a (branches, d) amplitude array, and returns its leaves as arrays.
+`run_analytic` reports the leaves exactly: it checks the whole (leaves, d)
+block of leaf amplitudes once with `hilbert.check_states`, and a `Branch`
+builds its `StateVector` from its row only when `.state` is read.
+`run_sampled` draws per-shot outcomes down the same levels with a
 counter-based RNG (see `rng`), SHOT_BLOCK shots at a time, so its memory is
 O(SHOT_BLOCK x measurement stages) for any shot count.  Exact enumeration
 is always the source of truth and sampling is validated against it.
@@ -25,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import rng
-from .hilbert import LinearMap, SpaceSpec, StateVector, label_projector, lift
+from .hilbert import LinearMap, SpaceSpec, StateVector, check_states, label_projector, lift
 from .components import EraserKrausPair
 
 #: Branches below this probability are dropped from analytic distributions.
@@ -206,11 +209,21 @@ class PipelineFamily:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One terminal measurement history: record, probability, residual state."""
+    """One terminal measurement history: record, probability, residual state.
+
+    `amps` is the branch's read-only row of the leaf block that
+    `run_analytic` has already checked; `.state` builds a new, checked
+    `StateVector` from it on every access.
+    """
 
     record: Record
     prob: float
-    state: StateVector
+    space: SpaceSpec
+    amps: np.ndarray
+
+    @property
+    def state(self) -> StateVector:
+        return StateVector(self.space, self.amps)
 
     @property
     def outcomes(self) -> dict[str, str]:
@@ -225,7 +238,7 @@ class OutcomeDistribution:
     prune_threshold: float = field(default=PRUNE_PROB)
 
     def __post_init__(self):
-        total = sum(b.prob for b in self.branches)
+        total = sum((b.prob for b in self.branches), 0.0)
         if any(b.prob < 0.0 for b in self.branches):
             raise ValueError("negative branch probability")
         if abs(total - 1.0) > ATOL_DIST_SUM:
@@ -241,7 +254,7 @@ def matches(**pairs: str) -> Predicate:
 
 def marginal(dist: OutcomeDistribution, of: Predicate) -> float:
     """Total probability of branches whose record satisfies the predicate."""
-    return sum(b.prob for b in dist.branches if of(b.outcomes))
+    return sum((b.prob for b in dist.branches if of(b.outcomes)), 0.0)
 
 
 def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> float:
@@ -249,8 +262,8 @@ def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> f
     p_given = marginal(dist, given)
     if p_given == 0.0:
         raise ZeroProbabilityEventError("conditioning event has zero probability")
-    joint = sum(b.prob for b in dist.branches
-                if given(b.outcomes) and of(b.outcomes))
+    joint = sum((b.prob for b in dist.branches
+                 if given(b.outcomes) and of(b.outcomes)), 0.0)
     return joint / p_given
 
 
@@ -289,11 +302,25 @@ def _record_key(stage: Stage) -> str | None:
     return None
 
 
-Leaf = tuple[Record, float, np.ndarray]
+class BranchTree(NamedTuple):
+    """What `_branch_tree` returns.
+
+    `levels` holds the (B, n) outcome weights of each measurement level and
+    `records` the record of every final row.  The leaves, the final rows
+    that no branch below PRUNE_PROB leads to, are arrays in depth-first
+    order: their final-row indices `leaves`, probabilities `probs` and
+    normalized amplitudes `amps`, one (L, d) block.
+    """
+
+    levels: list[np.ndarray]
+    records: list[Record]
+    leaves: np.ndarray
+    probs: np.ndarray
+    amps: np.ndarray
 
 
 def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
-                 ) -> tuple[list[np.ndarray], list[Record], list[Leaf]]:
+                 ) -> BranchTree:
     """Breadth-first exact evolution of every measurement branch.
 
     The walk holds the live branches of one measurement level as rows of a
@@ -303,13 +330,11 @@ def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
     outcome-minor, so rows stay in depth-first order and each row's
     arithmetic is that of a walk down its own branch.
 
-    Returns the (B, n) weight array of each measurement level, the record
-    of every final row, and, in depth-first order, the leaves (record,
-    probability, normalized amplitudes) that no branch below PRUNE_PROB
-    leads to.  The final rows keep every outcome of positive probability,
-    since any of them can be drawn.  Stage order is taken as given (the
-    delayed-choice check deliberately runs stage lists that would not
-    validate as a user pipeline).
+    The final rows keep every outcome of positive probability, since any of
+    them can be drawn; the leaves are those kept at or above PRUNE_PROB,
+    returned as arrays (see `BranchTree`) and not checked here.  Stage order
+    is taken as given (the delayed-choice check deliberately runs stage
+    lists that would not validate as a user pipeline).
     """
     amps = initial.amps[None, :]
     prob = np.ones(1)
@@ -331,16 +356,23 @@ def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
         kept = kept[rows] & (prob >= PRUNE_PROB)
         pairs = [((key, outcome),) for outcome in outcomes]
         records = [records[r] + pairs[o] for r, o in zip(rows.tolist(), outs.tolist())]
-    leaves = [(records[i], p, amps[i])
-              for i, p in zip(np.flatnonzero(kept).tolist(), prob[kept].tolist())]
-    return levels, records, leaves
+    leaves = np.flatnonzero(kept)
+    return BranchTree(levels, records, leaves, prob[leaves], amps[leaves])
 
 
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
-    """Exact outcome distribution of a pipeline."""
-    _, _, leaves = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
-    return OutcomeDistribution(tuple(Branch(record, prob, StateVector(pipeline.space, amps))
-                                     for record, prob, amps in leaves))
+    """Exact outcome distribution of a pipeline.
+
+    The leaf amplitudes are checked as one block with `check_states`, the
+    rule every `StateVector` obeys, and then made read-only; each `Branch`
+    keeps its row and builds its `StateVector` only when `.state` is read.
+    """
+    tree = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    check_states(tree.amps)
+    tree.amps.setflags(write=False)
+    return OutcomeDistribution(tuple(
+        Branch(tree.records[i], prob, pipeline.space, amps)
+        for i, prob, amps in zip(tree.leaves.tolist(), tree.probs.tolist(), tree.amps)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +427,8 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
         raise ValueError("shots must be at least 1")
     if not 0 <= seed < rng.SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    levels, records, _ = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    tree = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    levels, records = tree.levels, tree.records
     tables = [_shot_table(weights) for weights in levels]
     totals = np.zeros(len(records), dtype=np.int64)
     for start in range(0, shots, SHOT_BLOCK):
@@ -520,40 +553,31 @@ def _chunk_points(initial: StateVector, stage_ops, grid: Sequence[float],
     leaves = [(dict(record), prob, kept)
               for record, prob, kept in _swept_leaves(initial, stage_ops, len(grid))]
 
-    def total(of: Predicate) -> tuple[np.ndarray, np.ndarray]:
+    def total(of: Predicate) -> np.ndarray:
         """`marginal` at every point: the sum over kept leaves in
-        depth-first order, and whether any kept leaf matched."""
-        acc, hit = np.zeros(len(grid)), np.zeros(len(grid), dtype=bool)
+        depth-first order."""
+        acc = np.zeros(len(grid))
         for outcomes, prob, kept in leaves:
             if of(outcomes):
                 acc = acc + np.where(kept, prob, 0.0)
-                hit = hit | kept
-        return acc, hit
-
-    def values(acc: np.ndarray, hit: np.ndarray) -> list:
-        """The sums as `marginal` returns them: the int 0 of an empty sum
-        where no leaf matched."""
-        out = acc.tolist()
-        for i in np.flatnonzero(~hit).tolist():
-            out[i] = 0
-        return out
+        return acc
 
     is_x, is_y = matches(detector="X"), matches(detector="Y")
     sums = total(lambda outcomes: True)
-    p_given = total(given)[0] if given is not None else np.ones(len(grid))
+    p_given = total(given) if given is not None else np.ones(len(grid))
     # The point-by-point checks of `OutcomeDistribution` and `conditional`,
     # raised for the first point that fails one, as the loop would.
-    bad_sum = np.abs(sums[0] - 1.0) > ATOL_DIST_SUM
+    bad_sum = np.abs(sums - 1.0) > ATOL_DIST_SUM
     failed = np.flatnonzero(bad_sum | (p_given == 0.0))
     if failed.size:
         if bad_sum[failed[0]]:
-            raise ValueError(f"branch probabilities sum to {values(*sums)[failed[0]]!r}, not 1")
+            raise ValueError(f"branch probabilities sum to {float(sums[failed[0]])!r}, not 1")
         raise ZeroProbabilityEventError("conditioning event has zero probability")
-    prob_x, prob_y = values(*total(is_x)), values(*total(is_y))
+    prob_x, prob_y = total(is_x).tolist(), total(is_y).tolist()
     if given is None:
         return [SweepPoint(*point) for point in zip(grid, prob_x, prob_y)]
-    cond_x = (total(lambda o: given(o) and is_x(o))[0] / p_given).tolist()
-    cond_y = (total(lambda o: given(o) and is_y(o))[0] / p_given).tolist()
+    cond_x = (total(lambda o: given(o) and is_x(o)) / p_given).tolist()
+    cond_y = (total(lambda o: given(o) and is_y(o)) / p_given).tolist()
     return [SweepPoint(*point) for point in zip(grid, prob_x, prob_y, cond_x, cond_y)]
 
 
@@ -594,11 +618,12 @@ def sweep(build: Callable[[float], Pipeline], parameter: str,
     return SweepResult(parameter, tuple(grid), tuple(points), visibility(fringe))
 
 
-def _joint_table(leaves: Sequence[Leaf]) -> dict[Record, float]:
-    """Record -> probability, with record pairs in key-sorted canonical order."""
+def _joint_table(tree: BranchTree) -> dict[Record, float]:
+    """Record -> probability of the leaves, with record pairs in key-sorted
+    canonical order."""
     table: dict[Record, float] = {}
-    for record, prob, _ in leaves:
-        key = tuple(sorted(record))
+    for i, prob in zip(tree.leaves.tolist(), tree.probs.tolist()):
+        key = tuple(sorted(tree.records[i]))
         table[key] = table.get(key, 0.0) + prob
     return table
 
@@ -618,10 +643,9 @@ def delayed_choice_equivalence(pipeline: Pipeline, tol: float = ATOL_DELAYED) ->
     if not isinstance(kept[-1], Detect):
         raise PipelineError("pipeline has no detect stage after the eraser")
 
-    original = _joint_table(_branch_tree(pipeline.space, pipeline.initial,
-                                         pipeline.stages)[2])
+    original = _joint_table(_branch_tree(pipeline.space, pipeline.initial, pipeline.stages))
     reordered = _joint_table(_branch_tree(pipeline.space, pipeline.initial,
-                                          tuple(kept) + tuple(moved))[2])
+                                          tuple(kept) + tuple(moved)))
     for key in original.keys() | reordered.keys():
         if abs(original.get(key, 0.0) - reordered.get(key, 0.0)) > tol:
             return False

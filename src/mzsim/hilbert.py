@@ -11,7 +11,10 @@ validated wrappers around it.
 
 Tolerances are fixed module constants.  Constructors reject bad input
 (non-finite amplitudes, non-unit norms, non-unitary matrices flagged
-unitary) instead of silently repairing it.
+unitary) instead of silently repairing it.  The state rule lives in
+`check_states`, which checks every row of a (..., d) amplitude array at
+once: `StateVector` applies it to its one row, and `experiment.run_analytic`
+to its whole block of leaf amplitudes.
 """
 
 from __future__ import annotations
@@ -40,14 +43,6 @@ MAX_TOTAL_DIM = 1024
 
 class SpaceMismatchError(ValueError):
     """Two objects live on different spaces (or a subsystem is unknown)."""
-
-
-def _as_complex_array(values, shape_name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"non-finite entries in {shape_name}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -171,6 +166,26 @@ def space_of(*subsystems: SubsystemSpec) -> SpaceSpec:
     return SpaceSpec(tuple(subsystems))
 
 
+def check_states(amps: np.ndarray, normalized: bool = True) -> None:
+    """Enforce the state rule on every row of a (..., d) amplitude array.
+
+    Every entry must be finite and, if `normalized`, every row's norm must
+    lie within ATOL_NORM of 1.  Raises ValueError naming the norm of the
+    first row that is off.
+    """
+    if not np.isfinite(amps).all():
+        raise ValueError("non-finite entries in state vector")
+    if normalized:
+        norms = np.sqrt(np.vecdot(amps, amps).real)
+        off = np.abs(norms - 1.0) > ATOL_NORM
+        if off.any():
+            first = np.ravel(norms)[np.flatnonzero(off)[0]]
+            raise ValueError(
+                f"state tagged normalized has norm {first!r}; "
+                "renormalize explicitly or pass normalized=False"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Dense complex amplitude vector over a SpaceSpec.
@@ -185,16 +200,11 @@ class StateVector:
     normalized: bool = field(default=True)
 
     def __post_init__(self):
-        arr = _as_complex_array(self.amps, "state vector")
+        arr = np.array(self.amps, dtype=np.complex128)
         if arr.shape != (self.space.dim,):
             raise ValueError(f"amplitude count {arr.shape} != space dim {self.space.dim}")
-        if self.normalized:
-            norm = math.sqrt(np.vdot(arr, arr).real)
-            if abs(norm - 1.0) > ATOL_NORM:
-                raise ValueError(
-                    f"state tagged normalized has norm {np.float64(norm)!r}; "
-                    "renormalize explicitly or pass normalized=False"
-                )
+        check_states(arr, self.normalized)
+        arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 
     @property
@@ -227,7 +237,10 @@ class LinearMap:
     unitary: bool = field(default=False)
 
     def __post_init__(self):
-        mat = _as_complex_array(self.matrix, "matrix")
+        mat = np.array(self.matrix, dtype=np.complex128)
+        if not np.isfinite(mat).all():
+            raise ValueError("non-finite entries in matrix")
+        mat.setflags(write=False)
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")

@@ -118,6 +118,48 @@ class TestRunAnalytic:
             for branch in run_analytic(pipeline).branches:
                 assert abs(branch.state.norm - 1.0) <= 1e-10
 
+    def test_leaf_states_are_built_on_access(self, monkeypatch):
+        pipeline = dsl.compile(dsl.parse_text(READOUT_TREE.read_text()))
+        checks = []
+        check = hilbert.StateVector.__post_init__
+
+        def counted(state):
+            checks.append(state)
+            check(state)
+
+        monkeypatch.setattr(hilbert.StateVector, "__post_init__", counted)
+        branches = run_analytic(pipeline).branches
+        assert len(branches) == 128 and checks == []
+        rows = exp._branch_tree(pipeline.space, pipeline.initial, pipeline.stages).amps
+        for branch, row in zip(branches, rows, strict=True):
+            state = branch.state
+            assert checks[-1] is state
+            assert type(state) is hilbert.StateVector and state.normalized
+            assert state.amps.tobytes() == row.tobytes()
+        assert len(checks) == 128
+
+    @pytest.mark.parametrize("spoil", [
+        lambda row: row + [np.nan, 0.0],
+        lambda row: row * (1 + 1e-9),
+    ], ids=["nan", "norm"])
+    def test_leaf_block_is_checked(self, monkeypatch, spoil):
+        pipeline = readout_pipeline()
+        walk = exp._branch_tree
+
+        def spoiled(*args):
+            tree = walk(*args)
+            amps = tree.amps.copy()
+            amps[1] = spoil(amps[1])
+            return tree._replace(amps=amps)
+
+        bad_row = spoiled(pipeline.space, pipeline.initial, pipeline.stages).amps[1]
+        with pytest.raises(ValueError) as from_state:
+            hilbert.StateVector(pipeline.space, bad_row)
+        monkeypatch.setattr(exp, "_branch_tree", spoiled)
+        with pytest.raises(ValueError) as from_run:
+            run_analytic(pipeline)
+        assert str(from_run.value) == str(from_state.value)
+
     @pytest.mark.parametrize("make", [
         baseline_pipeline, readout_pipeline, entangler_pipeline,
         lambda: eraser_pipeline(0.3), lambda: eraser_pipeline(1.0, phi=1.1),
@@ -263,6 +305,7 @@ def naive_run_sampled(pipeline, shots, seed):
 
 
 EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "experiments"
+READOUT_TREE = Path(__file__).resolve().parent / "golden" / "readout_tree.mzx"
 EXPERIMENTS = sorted(EXPERIMENTS_DIR.glob("*.mzx"))
 
 

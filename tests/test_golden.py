@@ -6,6 +6,9 @@ repo-relative paths, so `meta.file` in the JSON output is stable.  After
 checking that a change of output is intended, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each command line whose recorded output differs from the file
+it overwrites.
 """
 
 import contextlib
@@ -98,6 +101,10 @@ def test_cli_output_matches_golden(argv, monkeypatch):
 if __name__ == "__main__":
     os.environ.pop("MZX_SEED", None)
     golden = {" ".join(argv): invoke(argv) for argv in commands()}
+    old = load_golden() if GOLDEN.exists() else {}
+    for line, result in golden.items():
+        if old.get(line) != result:
+            sys.stdout.write(f"changed: {line}\n")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(golden)} commands to {GOLDEN.relative_to(ROOT)}\n")

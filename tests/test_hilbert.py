@@ -115,6 +115,10 @@ class TestConstruction:
         space = space_of(AB)
         with pytest.raises(ValueError, match="finite"):
             StateVector(space, [np.nan, 0.0])
+        rows = np.array([[1.0, 0.0], [np.inf, 0.0]])
+        for normalized in (True, False):
+            with pytest.raises(ValueError, match="non-finite entries in state vector"):
+                hilbert.check_states(rows, normalized)
         with pytest.raises(ValueError, match="finite"):
             LinearMap(space, [[np.inf, 0], [0, 1]])
 
@@ -123,6 +127,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="norm"):
             StateVector(space, [1.0, 1.0])
         StateVector(space, [1.0, 1.0], normalized=False)  # fine as residual
+        # A block of rows: the first row that is off is named, in
+        # StateVector's words, in any leading shape.
+        rows = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0 + 1e-9, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError) as from_state:
+            StateVector(space, rows[2])
+        for block in (rows, rows.reshape(2, 2, 2)):
+            with pytest.raises(ValueError) as from_block:
+                hilbert.check_states(block)
+            assert str(from_block.value) == str(from_state.value)
+        hilbert.check_states(rows[:2])
+        hilbert.check_states(rows, normalized=False)
 
     def test_unitary_flag_checked_at_construction(self):
         space = space_of(AB)

@@ -148,11 +148,11 @@ def test_batch_neither_compiles_nor_walks_per_point(monkeypatch):
     assert abs(result.visibility - 1.0) <= 1e-12
 
 
-def test_unmatched_point_reports_int_zero():
-    # At phi = 0 no branch reaches detector Y: the loop's empty sum is 0.
+def test_unmatched_point_reports_float_zero():
+    # At phi = 0 no branch reaches detector Y: the loop's empty sum is 0.0.
     result = sweep(dsl.sweep_template(load("baseline_phase.mzx"), "phi"), "phi",
                    [0.0, math.pi / 2])
-    assert type(result.points[0].prob_y) is int and result.points[0].prob_y == 0
+    assert type(result.points[0].prob_y) is float and result.points[0].prob_y == 0.0
     assert type(result.points[1].prob_y) is float
 
 
