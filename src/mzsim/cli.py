@@ -15,6 +15,10 @@ in the fixed order meta, branches, conditionals, and (for sweeps)
 visibility.  The MZX_SEED environment variable supplies a default seed for
 sampled runs (the --seed flag overrides; the fallback seed is 0); seeds lie
 in [0, 2**64).
+
+The argument parser is built once per process, when this module is
+imported, and `main` reuses it: `parse_args` leaves a parser unchanged, so
+one call's flags never reach the next.
 """
 
 from __future__ import annotations
@@ -43,14 +47,14 @@ class CliError(Exception):
 
 
 def _num(text: str) -> float:
-    """Float flag value, with an optional 'pi' suffix (e.g. 2pi, 0.5pi)."""
-    text = text.strip()
-    factor = 1.0
-    if text.endswith("pi"):
-        factor = math.pi
-        text = text[:-2] or "1"
+    """Float flag value, with an optional 'pi' suffix (e.g. 2pi, 0.5pi, -pi)."""
+    number, factor = text.strip(), 1.0
+    if number.endswith("pi"):
+        number, factor = number[:-2], math.pi
+        if number in ("", "+", "-"):
+            number += "1"
     try:
-        return float(text) * factor
+        return float(number) * factor
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
 
@@ -351,8 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser `main` uses; built once, never changed after.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -140,22 +140,18 @@ def validate_stages(space: SpaceSpec, initial: StateVector,
     for i, stage in enumerate(stages):
         where = f"stage {i + 1}"
         if isinstance(stage, Unitary):
-            try:
-                if space.restricted(stage.targets) != stage.op.space:
-                    problems.append(f"{where}: operator does not match targets {stage.targets}")
-            except Exception as exc:
-                problems.append(f"{where}: {exc}")
+            problem = _targets_problem(space, stage.targets, stage.op.space, "operator")
+            if problem:
+                problems.append(f"{where}: {problem}")
         elif isinstance(stage, ProjectiveMeasure):
             keys.append(stage.record_key)
             if stage.subsystem not in space.names:
                 problems.append(f"{where}: unknown subsystem {stage.subsystem!r}")
         elif isinstance(stage, GeneralizedMeasure):
             keys.append(stage.record_key)
-            try:
-                if space.restricted(stage.targets) != stage.kraus.space:
-                    problems.append(f"{where}: Kraus pair does not match targets {stage.targets}")
-            except Exception as exc:
-                problems.append(f"{where}: {exc}")
+            problem = _targets_problem(space, stage.targets, stage.kraus.space, "Kraus pair")
+            if problem:
+                problems.append(f"{where}: {problem}")
         elif isinstance(stage, Detect):
             keys.append(stage.record_key)
             if "direction" not in space.names:
@@ -163,6 +159,26 @@ def validate_stages(space: SpaceSpec, initial: StateVector,
     if len(set(keys)) != len(keys):
         problems.append(f"record keys must be unique, got {keys}")
     return problems
+
+
+def _targets_problem(space: SpaceSpec, targets: tuple[str, ...], op_space: SpaceSpec,
+                     what: str) -> str | None:
+    """Why an operator on `op_space` cannot act on `targets` of `space`, or
+    None if `op_space` is `space.restricted(targets)`.
+
+    The targets must be the operator's subsystem names, which are distinct,
+    and each of those subsystems must be one of `space`'s.  Only a failing
+    check builds the restricted space, to word the problem as `restricted`
+    does.
+    """
+    if op_space.names == tuple(targets) and all(
+            sub in space.subsystems for sub in op_space.subsystems):
+        return None
+    try:
+        space.restricted(targets)
+    except Exception as exc:
+        return str(exc)
+    return f"{what} does not match targets {targets}"
 
 
 @dataclass(frozen=True, eq=False)

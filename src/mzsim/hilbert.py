@@ -7,7 +7,9 @@ the flat amplitude index enumerates subsystem labels in space order with the
 *last* subsystem varying fastest, so a flat vector or matrix reshapes into
 one tensor axis per subsystem.  `lift` uses that to turn an operator on a
 few subsystems into a full-space matrix; `embed` and `projector` are
-validated wrappers around it.
+validated wrappers around it.  What `lift` needs besides the matrix, its
+index plan, depends only on the shape of the space and the target axes, so
+it is worked out once per (axes, dims) and cached; no matrix content is.
 
 Tolerances are fixed module constants.  Constructors reject bad input
 (non-finite amplitudes, non-unit norms, non-unitary matrices flagged
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -91,7 +94,11 @@ def eraser() -> SubsystemSpec:
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Ordered tensor product of subsystems; fixes the flat basis ordering."""
+    """Ordered tensor product of subsystems; fixes the flat basis ordering.
+
+    `dim`, `dims` and `names` are computed once per space; equality and
+    hashing use the subsystems only.
+    """
 
     subsystems: tuple[SubsystemSpec, ...]
 
@@ -102,23 +109,23 @@ class SpaceSpec:
         if self.dim > MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {self.dim} exceeds {MAX_TOTAL_DIM}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return math.prod(s.dim for s in self.subsystems)
+        return math.prod(self.dims)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.subsystems)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.subsystems)
 
     def axis(self, name: str) -> int:
-        for k, sub in enumerate(self.subsystems):
-            if sub.name == name:
-                return k
-        raise SpaceMismatchError(f"unknown subsystem {name!r} (have {self.names})")
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise SpaceMismatchError(f"unknown subsystem {name!r} (have {self.names})") from None
 
     def subsystem(self, name: str) -> SubsystemSpec:
         return self.subsystems[self.axis(name)]
@@ -272,27 +279,40 @@ def kron(a: LinearMap, b: LinearMap) -> LinearMap:
                      unitary=a.unitary and b.unitary)
 
 
+@lru_cache(maxsize=256)
+def _lift_plan(axes: tuple[int, ...], dims: tuple[int, ...]
+               ) -> tuple[tuple[int, ...], tuple[int, ...], int, np.ndarray]:
+    """`lift`'s index plan for one shape: the tensor shape of op (x) I_rest,
+    rows then columns, with the targets first and the other subsystems
+    after them; the permutation that moves every axis back to its place in
+    the space, as negative axes so that it holds under any batch; the
+    space's dimension; and the read-only (r, 1, r) identity on the rest."""
+    rest = [k for k in range(len(dims)) if k not in axes]
+    order = [*axes, *rest]
+    shape = tuple(dims[k] for k in order)
+    where = [order.index(k) for k in range(len(dims))]
+    n = len(dims)
+    perm = (*(k - 2 * n for k in where), *(k - n for k in where))
+    eye = np.eye(math.prod(dims[k] for k in rest))[:, None, :]
+    eye.setflags(write=False)
+    return shape + shape, perm, math.prod(dims), eye
+
+
 def lift(matrix: np.ndarray, axes: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Full-space matrix of `matrix` acting on the subsystems at `axes`, in
     that order, and as the identity on the others.
 
     `dims` are the subsystem dimensions of the full space and the last two
     axes of `matrix` are square over the product of `dims[axes]`; leading
-    axes are a batch, lifted matrix by matrix.  Nothing is validated;
-    `embed` and `projector` are the checked entry points.
+    axes are a batch, lifted matrix by matrix.  The index plan is cached by
+    (axes, dims) alone, and every call returns a new array.  Nothing is
+    validated; `embed` and `projector` are the checked entry points.
     """
-    rest = [k for k in range(len(dims)) if k not in axes]
-    order = [*axes, *rest]
-    shape = [dims[k] for k in order]
-    rest_dim = math.prod(dims[k] for k in rest)
-    d = matrix.shape[-1] * rest_dim
-    batch = list(matrix.shape[:-2])
-    # op (x) I_rest with one tensor axis per subsystem, rows then columns,
-    # in `order`; the transpose moves every axis back to its place in space.
-    block = matrix[..., :, None, :, None] * np.eye(rest_dim)[:, None, :]
-    where = [len(batch) + order.index(k) for k in range(len(dims))]
-    perm = [*range(len(batch)), *where, *(len(dims) + k for k in where)]
-    return block.reshape(batch + shape + shape).transpose(perm).reshape(batch + [d, d])
+    shape, perm, d, eye = _lift_plan(tuple(axes), tuple(dims))
+    batch = matrix.shape[:-2]
+    block = matrix[..., :, None, :, None] * eye
+    return (block.reshape(batch + shape).transpose((*range(len(batch)), *perm))
+            .reshape(batch + (d, d)))
 
 
 def label_projector(sub: SubsystemSpec, label: str) -> np.ndarray:

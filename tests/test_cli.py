@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -220,6 +222,24 @@ class TestSweep:
         assert (code, out) == (1, "")
         assert err == "error: sweep grid contains non-finite values\n"
 
+    @pytest.mark.parametrize("bound, value", [
+        ("-pi", -math.pi), ("+pi", math.pi), ("pi", math.pi), ("-2pi", -2 * math.pi),
+        ("-0.5pi", -0.5 * math.pi)])
+    def test_signed_pi_bound_accepted(self, capsys, bound, value):
+        code, out, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),
+                                 "--param", "phi", f"--from={bound}", "--to=3pi",
+                                 "--steps", "4", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["meta"]["from"] == value
+
+    @pytest.mark.parametrize("bound", ["-", "pipi", "--pi", " x pi "])
+    def test_bad_number_error_names_whole_text(self, capsys, bound):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", path("baseline_phase.mzx"), "--param", "phi",
+                      f"--from={bound}", "--to=1", "--steps", "4"])
+        assert exc.value.code == 2
+        assert f"invalid number {bound!r}" in capsys.readouterr().err
+
     def test_sweep_output_is_deterministic(self, capsys):
         args = ("sweep", path("eraser_phase.mzx"), "--param", "phi",
                 "--from", "0", "--to", "2pi", "--steps", "16",
@@ -267,3 +287,23 @@ def test_console_entry_point_runs_in_subprocess():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
     assert result.returncode == 0
     assert result.stdout == "detector=X  1\n"
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run_cli(capsys, "run", path("baseline.mzx"))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    sampled = run_cli(capsys, "run", path("eraser.mzx"), "--shots", "100", "--seed", "1",
+                      "--format", "json")
+    plain = run_cli(capsys, "run", path("eraser.mzx"), "--format", "json")
+    assert built == []
+    assert (sampled[0], plain[0]) == (0, 0)
+    assert json.loads(sampled[1])["meta"]["mode"] == "sampled"
+    meta = json.loads(plain[1])["meta"]
+    assert (meta["mode"], meta["shots"], meta["seed"]) == ("analytic", None, None)

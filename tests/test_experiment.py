@@ -552,6 +552,35 @@ class TestPipelineValidation:
             Pipeline(space, space.basis_state(("x",)),
                      (exp.Unitary(comp.beam_splitter(), ("photon",)), Detect()))
 
+    @pytest.mark.parametrize("space, stage, message", [
+        (comp.direction_space(), exp.Unitary(comp.beam_splitter(), ("photon",)),
+         "stage 1: unknown subsystem 'photon' (have ('direction',))"),
+        (comp.tagged_space(), exp.Unitary(comp.beam_splitter(), ("direction", "direction")),
+         "stage 1: duplicate subsystem names: ['direction', 'direction']"),
+        (comp.tagged_space(), exp.Unitary(comp.beam_splitter(), ("atom",)),
+         "stage 1: operator does not match targets ('atom',)"),
+        (comp.tagged_space(),
+         exp.Unitary(hilbert.identity(hilbert.space_of(hilbert.SubsystemSpec(
+             "direction", ("y", "x")))), ("direction",)),
+         "stage 1: operator does not match targets ('direction',)"),
+        (comp.eraser_space(), GeneralizedMeasure(comp.eraser_kraus(0.5), ("eraser", "photon"),
+                                                 "abs"),
+         "stage 1: Kraus pair does not match targets ('eraser', 'photon')"),
+        (comp.eraser_space(), GeneralizedMeasure(comp.eraser_kraus(0.5), ("photon", "nosuch"),
+                                                 "abs"),
+         "stage 1: unknown subsystem 'nosuch' (have ('direction', 'photon', 'atom', 'eraser'))"),
+        (comp.eraser_space(), GeneralizedMeasure(comp.eraser_kraus(0.5), ("photon", "photon"),
+                                                 "abs"),
+         "stage 1: duplicate subsystem names: ['photon', 'photon']"),
+        (comp.eraser_space(), exp.Unitary(comp.beam_splitter(), ()),
+         "stage 1: operator does not match targets ()"),
+    ])
+    def test_target_problems_are_worded(self, space, stage, message):
+        initial = space.basis_state(tuple(sub.labels[0] for sub in space.subsystems))
+        with pytest.raises(PipelineError) as exc:
+            Pipeline(space, initial, (stage, Detect()))
+        assert str(exc.value) == message
+
     def test_initial_state_space_must_match(self):
         space = comp.direction_space()
         other = comp.tagged_space()

@@ -191,6 +191,17 @@ class TestKron:
             space_of(big, PQR)
 
 
+def assert_fresh(first, relift):
+    """`first` is a writable array of its own: the next lift of the same
+    shape shares no memory with it, and writing to it changes no later lift."""
+    assert first.flags.writeable
+    second = relift()
+    assert not np.shares_memory(first, second)
+    expected = second.copy()
+    first[...] = np.nan
+    assert np.array_equal(relift(), expected)
+
+
 class TestLift:
     @pytest.mark.parametrize("targets", [
         targets for k in (1, 2, 3)
@@ -201,8 +212,10 @@ class TestLift:
         op_space = space.restricted(targets)
         op = LinearMap(op_space, rng.normal(size=(op_space.dim,) * 2)
                        + 1j * rng.normal(size=(op_space.dim,) * 2))
-        got = lift(op.matrix, [space.axis(t) for t in targets], space.dims)
+        axes = [space.axis(t) for t in targets]
+        got = lift(op.matrix, axes, space.dims)
         assert np.array_equal(got, embed_oracle(op, targets, space))
+        assert_fresh(got, lambda: lift(op.matrix, axes, space.dims))
 
     @pytest.mark.parametrize("targets", [
         targets for k in (1, 2, 3)
@@ -217,6 +230,8 @@ class TestLift:
         assert got.shape == (5, space.dim, space.dim)
         for mat, lifted in zip(stack, got):
             assert np.array_equal(lifted, lift(mat, axes, space.dims))
+        assert_fresh(got, lambda: lift(stack, axes, space.dims))
+        assert hilbert._lift_plan.cache_info().maxsize is not None
 
 
 class TestEmbed:
