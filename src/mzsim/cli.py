@@ -187,8 +187,8 @@ def cmd_run(args) -> int:
         dist = experiment.run_analytic(pipeline)
         meta.update(mode="analytic", seed=None, shots=None,
                     prune_threshold=dist.prune_threshold)
-        branches = [{"record": dict(b.record), "probability": b.prob}
-                    for b in dist.branches]
+        branches = [{"record": dict(record), "probability": prob}
+                    for record, prob in zip(dist.records, dist.probs.tolist())]
         conditionals = _conditional_rows(dist, given)
     else:
         if args.shots < 1:

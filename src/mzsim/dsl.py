@@ -178,8 +178,13 @@ def _parameter(d: Directive) -> str | None:
 
 @dataclass(frozen=True)
 class ExperimentAst:
+    """A parsed file.  `validated` is set once `validate` has passed on
+    this AST (its directives cannot change), so `compile` and
+    `sweep_template` do not check an AST from `parse_text` again."""
+
     directives: tuple[Directive, ...]
     end_line: int = field(compare=False, default=1)
+    validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def free_parameters(self) -> tuple[str, ...]:
@@ -362,9 +367,13 @@ def validate(ast: ExperimentAst) -> list[ParseError]:
 
 
 def _require_valid(ast: ExperimentAst):
+    """Raise the first problem `validate` finds, once per AST."""
+    if ast.validated:
+        return
     problems = validate(ast)
     if problems:
         raise problems[0]
+    object.__setattr__(ast, "validated", True)
 
 
 def parse_text(src: str) -> ExperimentAst:

@@ -3,13 +3,19 @@
 A `Pipeline` is an initial state plus an ordered list of stages over one
 space.  One breadth-first walk, `_branch_tree`, evolves every measurement
 branch of positive probability, one measurement level at a time, as the
-rows of a (branches, d) amplitude array, and returns its leaves as arrays.
-`run_analytic` reports the leaves exactly: it checks the whole (leaves, d)
-block of leaf amplitudes once with `hilbert.check_states`, and a `Branch`
-builds its `StateVector` from its row only when `.state` is read.
-`run_sampled` draws per-shot outcomes down the same levels with a
-counter-based RNG (see `rng`), SHOT_BLOCK shots at a time, so its memory is
-O(SHOT_BLOCK x measurement stages) for any shot count.  Exact enumeration
+rows of a (branches, d) amplitude array.  It keeps, per level, the outcome
+weights and which parent row and outcome each next row came from, so a
+final row's record is read back from those arrays only when it is needed.
+
+Results are columnar.  `run_analytic` returns an `OutcomeDistribution` of
+the leaves' records, a `probs` array and one read-only (leaves, d) block of
+amplitudes, checked once with `hilbert.check_states`; `marginal`,
+`conditional` and the CLI read these columns, and the per-leaf `Branch`
+views are built only when `.branches` is first read.  `run_sampled` draws
+per-shot outcomes down the same levels with a counter-based RNG (see
+`rng`), SHOT_BLOCK shots at a time, so its memory is O(SHOT_BLOCK x
+measurement stages) for any shot count; it orders its histogram by one
+`np.lexsort` over the hit rows' per-level label ranks.  Exact enumeration
 is always the source of truth and sampling is validated against it.
 
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
@@ -21,14 +27,19 @@ point by point through `run_analytic`, the reference the batch is tested
 against.
 
 Branch records map a per-stage record key ("ww", "abs", "detector") to an
-outcome label; record tuples list the keys in stage order.
+outcome label; record tuples list the keys in stage order.  A valid
+pipeline gives distinct outcomes of one stage distinct labels, so every
+final row has its own record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add, attrgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,6 +158,11 @@ def validate_stages(space: SpaceSpec, initial: StateVector,
             keys.append(stage.record_key)
             if stage.subsystem not in space.names:
                 problems.append(f"{where}: unknown subsystem {stage.subsystem!r}")
+            else:
+                problem = _outcome_names_problem(space.subsystem(stage.subsystem).labels,
+                                                 stage.outcome_names or {})
+                if problem:
+                    problems.append(f"{where}: {problem}")
         elif isinstance(stage, GeneralizedMeasure):
             keys.append(stage.record_key)
             problem = _targets_problem(space, stage.targets, stage.kraus.space, "Kraus pair")
@@ -179,6 +195,19 @@ def _targets_problem(space: SpaceSpec, targets: tuple[str, ...], op_space: Space
     except Exception as exc:
         return str(exc)
     return f"{what} does not match targets {targets}"
+
+
+def _outcome_names_problem(labels: tuple[str, ...], names: Mapping[str, str]) -> str | None:
+    """Why a projective measurement's outcomes would not all record a
+    different name, or None if they do."""
+    first: dict[str, str] = {}
+    for label in labels:
+        name = names.get(label, label)
+        if name in first:
+            return (f"outcomes {first[name]!r} and {label!r} both record the name "
+                    f"{name!r}")
+        first[name] = label
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,42 +252,71 @@ class PipelineFamily:
                               for s in self.stages))
 
 
-@dataclass(frozen=True, eq=False)
 class Branch:
-    """One terminal measurement history: record, probability, residual state.
+    """A read-only view of one leaf of an `OutcomeDistribution`: its record,
+    probability, space and amplitudes.
 
-    `amps` is the branch's read-only row of the leaf block that
-    `run_analytic` has already checked; `.state` builds a new, checked
-    `StateVector` from it on every access.
+    `amps` is the leaf's read-only row of the distribution's checked
+    amplitude block; `.state` builds a new, checked `StateVector` from it on
+    every access.  Branches compare by identity, and none of their public
+    attributes can be assigned.
     """
 
-    record: Record
-    prob: float
-    space: SpaceSpec
-    amps: np.ndarray
+    __slots__ = ("_record", "_prob", "_space", "_amps")
+
+    def __init__(self, record: Record, prob: float, space: SpaceSpec, amps: np.ndarray):
+        self._record, self._prob, self._space, self._amps = record, prob, space, amps
+
+    record = property(attrgetter("_record"), doc="The measurement record.")
+    prob = property(attrgetter("_prob"), doc="The branch probability, a float.")
+    space = property(attrgetter("_space"), doc="The space of `amps`.")
+    amps = property(attrgetter("_amps"), doc="The normalized, read-only amplitudes.")
 
     @property
     def state(self) -> StateVector:
-        return StateVector(self.space, self.amps)
+        return StateVector(self._space, self._amps)
 
     @property
     def outcomes(self) -> dict[str, str]:
-        return dict(self.record)
+        return dict(self._record)
+
+
+def _total(probs: Iterable[float]) -> float:
+    """The left-to-right sum of `probs` from 0.0: `np.cumsum(probs)[-1]`,
+    and Python's `sum(probs, 0.0)` up to 3.11, bit for bit."""
+    return reduce(add, probs, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Exhaustive set of terminal branches of a pipeline."""
+    """Exhaustive set of terminal branches of a pipeline, as columns.
 
-    branches: tuple[Branch, ...]
+    Leaf i has record `records[i]`, probability `probs[i]` and normalized
+    amplitudes `amps[i]`, a row of one read-only (leaves, d) block on
+    `space`; leaves are in depth-first order.  The probabilities are checked
+    once, here.  `branches` views the same leaves as `Branch` objects,
+    built on its first read and the same tuple on every read after.
+    """
+
+    records: tuple[Record, ...]
+    probs: np.ndarray
+    amps: np.ndarray
+    space: SpaceSpec
     prune_threshold: float = field(default=PRUNE_PROB)
 
     def __post_init__(self):
-        total = sum((b.prob for b in self.branches), 0.0)
-        if any(b.prob < 0.0 for b in self.branches):
+        if not len(self.records) == len(self.probs) == len(self.amps):
+            raise ValueError("records, probabilities and amplitudes differ in length")
+        if (self.probs < 0.0).any():
             raise ValueError("negative branch probability")
+        total = _total(self.probs.tolist())
         if abs(total - 1.0) > ATOL_DIST_SUM:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
+
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        return tuple(map(Branch, self.records, self.probs.tolist(), repeat(self.space),
+                         self.amps))
 
 
 def matches(**pairs: str) -> Predicate:
@@ -269,18 +327,20 @@ def matches(**pairs: str) -> Predicate:
 
 
 def marginal(dist: OutcomeDistribution, of: Predicate) -> float:
-    """Total probability of branches whose record satisfies the predicate."""
-    return sum((b.prob for b in dist.branches if of(b.outcomes)), 0.0)
+    """Total probability of branches whose record satisfies the predicate,
+    summed in leaf order."""
+    return _total(prob for record, prob in zip(dist.records, dist.probs.tolist())
+                  if of(dict(record)))
 
 
 def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> float:
     """P(of | given); raises ZeroProbabilityEventError if P(given) = 0."""
-    p_given = marginal(dist, given)
+    in_given = [(outcomes, prob) for outcomes, prob
+                in zip(map(dict, dist.records), dist.probs.tolist()) if given(outcomes)]
+    p_given = _total(prob for _, prob in in_given)
     if p_given == 0.0:
         raise ZeroProbabilityEventError("conditioning event has zero probability")
-    joint = sum((b.prob for b in dist.branches
-                 if given(b.outcomes) and of(b.outcomes)), 0.0)
-    return joint / p_given
+    return _total(prob for outcomes, prob in in_given if of(outcomes)) / p_given
 
 
 def _local_operators(stage: Stage, space: SpaceSpec
@@ -318,21 +378,55 @@ def _record_key(stage: Stage) -> str | None:
     return None
 
 
+def _objects(items: list) -> np.ndarray:
+    """A 1-D object array of `items`, tuples kept whole."""
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
+class Level(NamedTuple):
+    """One measurement level of `_branch_tree`'s walk.
+
+    The level's B rows have (B, n) outcome `weights`; `pairs` holds the
+    (record key, outcome label) of each of the n outcomes, as an object
+    array.  Row j of the next level descends from row `rows[j]` by outcome
+    `outs[j]`: the positive (row, outcome) entries of `weights`, row-major.
+    """
+
+    pairs: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
+    outs: np.ndarray
+
+
 class BranchTree(NamedTuple):
     """What `_branch_tree` returns.
 
-    `levels` holds the (B, n) outcome weights of each measurement level and
-    `records` the record of every final row.  The leaves, the final rows
-    that no branch below PRUNE_PROB leads to, are arrays in depth-first
-    order: their final-row indices `leaves`, probabilities `probs` and
-    normalized amplitudes `amps`, one (L, d) block.
+    `levels` holds every measurement `Level` in stage order.  The leaves,
+    the final rows that no branch below PRUNE_PROB leads to, are arrays in
+    depth-first order: their final-row indices `leaves`, probabilities
+    `probs` and normalized amplitudes `amps`, one (L, d) block.  A final
+    row's record is not built by the walk; `outcomes` and `records` read it
+    back from the levels for the rows asked for.
     """
 
-    levels: list[np.ndarray]
-    records: list[Record]
+    levels: list[Level]
     leaves: np.ndarray
     probs: np.ndarray
     amps: np.ndarray
+
+    def outcomes(self, final_rows: np.ndarray) -> list[np.ndarray]:
+        """The outcome each of `final_rows` took at every level, one array
+        per level in stage order, found by walking the rows back up."""
+        columns, rows = [], final_rows
+        for level in reversed(self.levels):
+            columns.append(level.outs[rows])
+            rows = level.rows[rows]
+        return columns[::-1]
+
+    def records(self, outcomes: list[np.ndarray]) -> list[Record]:
+        """The records of the rows whose `outcomes` are given."""
+        return list(zip(*(level.pairs[column].tolist()
+                          for level, column in zip(self.levels, outcomes))))
 
 
 def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
@@ -355,8 +449,7 @@ def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
     amps = initial.amps[None, :]
     prob = np.ones(1)
     kept = np.ones(1, dtype=bool)
-    records: list[Record] = [()]
-    levels: list[np.ndarray] = []
+    levels: list[Level] = []
     for stage in stages:
         key, (outcomes, mats) = _record_key(stage), _stage_operators(stage, space)
         if key is None:
@@ -364,31 +457,31 @@ def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
             continue
         sub = np.matmul(mats, amps[:, None, :, None])[..., 0]
         weights = np.vecdot(sub, sub).real
-        levels.append(weights)
         rows, outs = np.nonzero(weights > 0.0)
         weight = weights[rows, outs]
         amps = sub[rows, outs] / np.sqrt(weight)[:, None]
         prob = prob[rows] * weight
         kept = kept[rows] & (prob >= PRUNE_PROB)
-        pairs = [((key, outcome),) for outcome in outcomes]
-        records = [records[r] + pairs[o] for r, o in zip(rows.tolist(), outs.tolist())]
+        levels.append(Level(_objects([(key, outcome) for outcome in outcomes]),
+                            weights, rows, outs))
     leaves = np.flatnonzero(kept)
-    return BranchTree(levels, records, leaves, prob[leaves], amps[leaves])
+    return BranchTree(levels, leaves, prob[leaves], amps[leaves])
 
 
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
     """Exact outcome distribution of a pipeline.
 
     The leaf amplitudes are checked as one block with `check_states`, the
-    rule every `StateVector` obeys, and then made read-only; each `Branch`
-    keeps its row and builds its `StateVector` only when `.state` is read.
+    rule every `StateVector` obeys, and then made read-only, as are the
+    probabilities; no per-leaf object is built here (see
+    `OutcomeDistribution.branches`).
     """
     tree = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
     check_states(tree.amps)
     tree.amps.setflags(write=False)
-    return OutcomeDistribution(tuple(
-        Branch(tree.records[i], prob, pipeline.space, amps)
-        for i, prob, amps in zip(tree.leaves.tolist(), tree.probs.tolist(), tree.amps)))
+    tree.probs.setflags(write=False)
+    return OutcomeDistribution(tuple(tree.records(tree.outcomes(tree.leaves))), tree.probs,
+                               tree.amps, pipeline.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,18 +531,23 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     a shot takes the first outcome of its branch whose cumulative weight
     exceeds its draw, and moves to that outcome's row of the next level.
     Memory is O(SHOT_BLOCK x measurement stages) whatever the shot count.
+
+    The histogram lists the records in sorted order.  A valid pipeline
+    gives every final row its own record, and every record lists the same
+    keys, so that order is the lexicographic order of the rows' per-level
+    label ranks: one `np.lexsort` over the hit rows.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if not 0 <= seed < rng.SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     tree = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
-    levels, records = tree.levels, tree.records
-    tables = [_shot_table(weights) for weights in levels]
-    totals = np.zeros(len(records), dtype=np.int64)
+    levels = tree.levels   # at least the detect stage's
+    tables = [_shot_table(level.weights) for level in levels]
+    totals = np.zeros(len(levels[-1].rows), dtype=np.int64)
     for start in range(0, shots, SHOT_BLOCK):
         block = min(SHOT_BLOCK, shots - start)
-        draws = rng.unit_matrix(seed, block, max(len(levels), 1), start)
+        draws = rng.unit_matrix(seed, block, len(levels), start)
         row = np.zeros(block, dtype=np.intp)
         for depth, (cum, next_row) in enumerate(tables):
             u = draws[:, depth]
@@ -461,11 +559,23 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
             row = np.take(next_row, at)
             if row.min() < 0:
                 raise RuntimeError("drew a zero-probability outcome")
-        totals += np.bincount(row, minlength=len(records))
-    counts: dict[Record, int] = {}
-    for i in np.flatnonzero(totals).tolist():
-        counts[records[i]] = counts.get(records[i], 0) + int(totals[i])
-    return ShotHistogram(shots=shots, seed=seed, counts=dict(sorted(counts.items())))
+        totals += np.bincount(row, minlength=len(totals))
+    hit = np.flatnonzero(totals)
+    outcomes = tree.outcomes(hit)
+    # np.lexsort's primary key is its last: the first level's ranks.
+    order = np.lexsort([_label_ranks(level.pairs)[column]
+                        for level, column in zip(levels[::-1], outcomes[::-1])])
+    counts = dict(zip(tree.records([column[order] for column in outcomes]),
+                      totals[hit[order]].tolist()))
+    return ShotHistogram(shots=shots, seed=seed, counts=counts)
+
+
+def _label_ranks(pairs: np.ndarray) -> np.ndarray:
+    """The rank of each (record key, outcome label) pair of a level in
+    sorted order."""
+    ranks = np.empty(len(pairs), dtype=np.intp)
+    ranks[sorted(range(len(pairs)), key=pairs.__getitem__)] = np.arange(len(pairs))
+    return ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -638,8 +748,8 @@ def _joint_table(tree: BranchTree) -> dict[Record, float]:
     """Record -> probability of the leaves, with record pairs in key-sorted
     canonical order."""
     table: dict[Record, float] = {}
-    for i, prob in zip(tree.leaves.tolist(), tree.probs.tolist()):
-        key = tuple(sorted(tree.records[i]))
+    for record, prob in zip(tree.records(tree.outcomes(tree.leaves)), tree.probs.tolist()):
+        key = tuple(sorted(record))
         table[key] = table.get(key, 0.0) + prob
     return table
 

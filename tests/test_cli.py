@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mzsim import cli
+from mzsim import cli, dsl
 
 EXPERIMENT_DIR = Path(__file__).resolve().parent.parent / "experiments"
 
@@ -307,3 +307,18 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert json.loads(sampled[1])["meta"]["mode"] == "sampled"
     meta = json.loads(plain[1])["meta"]
     assert (meta["mode"], meta["shots"], meta["seed"]) == ("analytic", None, None)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", path("eraser.mzx"), "--given", "abs=yes"),
+    ("run", path("eraser.mzx"), "--shots", "50"),
+    ("sweep", path("eraser_phase.mzx"), "--param", "phi", "--from", "0", "--to", "2pi",
+     "--steps", "8", "--given", "abs=no"),
+])
+def test_each_file_is_validated_once(capsys, monkeypatch, argv):
+    checked = []
+    check = dsl.validate
+    monkeypatch.setattr(dsl, "validate", lambda ast: checked.append(ast) or check(ast))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert len(checked) == 1

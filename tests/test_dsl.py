@@ -192,6 +192,32 @@ class TestCompile:
         result = exp.sweep(build, "phi", grid)
         assert abs(result.visibility - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("src", [
+        "source A\nphase A phi\nbeamsplitter\nmirrors\n",
+        "source A\nsource B\nphase A phi\nbeamsplitter\ndetect\n",
+        "source A\nphase A phi\nwwreadout\nentangler\ndetect\n",
+    ])
+    def test_compile_and_sweep_template_validate_a_parsed_ast(self, src):
+        ast = parse(tokenize(src))
+        want = dsl.validate(ast)[0]
+        for build in (lambda: dsl.compile(ast, {"phi": 0.5}),
+                      lambda: dsl.sweep_template(ast, "phi")):
+            with pytest.raises(ParseError) as exc:
+                build()
+            assert (exc.value.line, exc.value.message) == (want.line, want.message)
+        assert not ast.validated
+
+    def test_parse_text_validates_once(self, monkeypatch):
+        calls = []
+        check = dsl.validate
+        monkeypatch.setattr(dsl, "validate", lambda ast: calls.append(ast) or check(ast))
+        ast = parse_text((EXPERIMENT_DIR / "eraser_phase.mzx").read_text())
+        dsl.compile(ast, {"phi": 0.5})
+        dsl.sweep_template(ast, "phi")
+        assert calls == [ast] and ast.validated
+        fresh = parse(tokenize((EXPERIMENT_DIR / "eraser_phase.mzx").read_text()))
+        assert fresh == ast and not fresh.validated
+
     def test_validate_collects_multiple_problems(self):
         src = "source A\nsource B\neraser open\nmirrors\n"
         problems = dsl.validate(parse(tokenize(src)))

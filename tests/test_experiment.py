@@ -1,5 +1,6 @@
 import ast
 import gc
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mzsim import cli, dsl
 from mzsim import components as comp
-from mzsim import dsl
 from mzsim import experiment as exp
 from mzsim import hilbert, rng
 from mzsim.experiment import (
@@ -137,6 +138,47 @@ class TestRunAnalytic:
             assert type(state) is hilbert.StateVector and state.normalized
             assert state.amps.tobytes() == row.tobytes()
         assert len(checks) == 128
+
+    def test_branches_are_built_on_first_read(self, monkeypatch, capsys):
+        pipeline = dsl.compile(dsl.parse_text(READOUT_TREE.read_text()))
+        built = []
+        init = exp.Branch.__init__
+
+        def counted(branch, *args):
+            built.append(branch)
+            init(branch, *args)
+
+        monkeypatch.setattr(exp.Branch, "__init__", counted)
+        dist = run_analytic(pipeline)
+        p_x = marginal(dist, matches(detector="X"))
+        p_y_given_a = conditional(dist, matches(ww="A"), matches(detector="Y"))
+        assert cli.main(["run", str(READOUT_TREE), "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["branches"]) == 128
+        assert built == []
+        branches = dist.branches
+        assert len(built) == 128 and list(branches) == built
+        assert dist.branches is branches
+        assert [b.record for b in branches] == list(dist.records)
+        assert [b.prob for b in branches] == dist.probs.tolist()
+        assert all(b.amps.base is dist.amps and b.space is pipeline.space for b in branches)
+        assert p_x == sum((b.prob for b in branches if b.outcomes["detector"] == "X"), 0.0)
+        p_a = sum((b.prob for b in branches if b.outcomes["ww"] == "A"), 0.0)
+        assert p_y_given_a == sum((b.prob for b in branches if b.outcomes["ww"] == "A"
+                                   and b.outcomes["detector"] == "Y"), 0.0) / p_a
+
+    def test_branches_are_read_only(self):
+        dist = run_analytic(readout_pipeline())
+        branch = dist.branches[0]
+        for name, value in [("record", ()), ("prob", 0.5), ("space", None),
+                            ("amps", branch.amps), ("state", None), ("outcomes", {})]:
+            with pytest.raises(AttributeError):
+                setattr(branch, name, value)
+        with pytest.raises(ValueError):
+            branch.amps[0] = 0.0
+        with pytest.raises(ValueError):
+            dist.probs[0] = 0.0
+        assert branch == branch and branch != dist.branches[1]
+        assert branch != exp.Branch(branch.record, branch.prob, branch.space, branch.amps)
 
     @pytest.mark.parametrize("spoil", [
         lambda row: row + [np.nan, 0.0],
@@ -386,6 +428,60 @@ class TestAgainstDenseReference:
         assert blocked == default == naive_run_sampled(p, 150, seed)
 
 
+def dict_histogram(pipeline, shots, seed):
+    """`run_sampled` with a dict histogram: the walk's final rows get their
+    records by concatenation level by level, the shots are counted per
+    record with `dict.get` and the records sorted with `sorted`, as before
+    the histogram was ordered by `np.lexsort`."""
+    tree = exp._branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
+    records = [()]
+    for level in tree.levels:
+        records = [records[r] + (level.pairs[o],)
+                   for r, o in zip(level.rows.tolist(), level.outs.tolist())]
+    tables = [exp._shot_table(level.weights) for level in tree.levels]
+    totals = np.zeros(len(records), dtype=np.int64)
+    for start in range(0, shots, exp.SHOT_BLOCK):
+        block = min(exp.SHOT_BLOCK, shots - start)
+        draws = rng.unit_matrix(seed, block, len(tables), start)
+        row = np.zeros(block, dtype=np.intp)
+        for depth, (cum, next_row) in enumerate(tables):
+            at = row * (len(cum) + 1)
+            for column in cum:
+                at += np.take(column, row) <= draws[:, depth]
+            row = np.take(next_row, at)
+        totals += np.bincount(row, minlength=len(records))
+    counts = {}
+    for i in np.flatnonzero(totals).tolist():
+        counts[records[i]] = counts.get(records[i], 0) + int(totals[i])
+    return dict(sorted(counts.items()))
+
+
+def has_eraser(seed):
+    return any(isinstance(s, GeneralizedMeasure) for s in random_pipeline(seed).stages)
+
+
+#: Random stage lists with Kraus levels, whose "yes" is listed before "no".
+ERASER_SEEDS = [seed for seed in range(100) if has_eraser(seed)][:8]
+
+
+class TestHistogramOrder:
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("make", [
+        *[lambda path=path: shipped_pipeline(path) for path in EXPERIMENTS],
+        lambda: dsl.compile(dsl.parse_text(READOUT_TREE.read_text())),
+        *[lambda s=s: random_pipeline(s) for s in ERASER_SEEDS],
+    ], ids=[p.stem for p in EXPERIMENTS] + ["readout_tree"]
+       + [f"random{s}" for s in ERASER_SEEDS])
+    def test_counts_equal_the_dict_histogram(self, make, seed, block, monkeypatch):
+        pipeline = make()
+        if block is not None:
+            monkeypatch.setattr(exp, "SHOT_BLOCK", block)
+        hist = run_sampled(pipeline, 2000, seed)
+        want = dict_histogram(pipeline, 2000, seed)
+        assert list(hist.counts.items()) == list(want.items())
+
+
 class TestRunSampled:
     def test_baseline_lands_entirely_in_x(self):
         for seed in (0, 1, 99):
@@ -545,6 +641,22 @@ class TestPipelineValidation:
         with pytest.raises(PipelineError, match="unique"):
             Pipeline(space, space.basis_state(("x",)),
                      (ProjectiveMeasure("direction", "detector", None), Detect()))
+
+    @pytest.mark.parametrize("names, message", [
+        ({"x": "y"}, "stage 2: outcomes 'x' and 'y' both record the name 'y'"),
+        ({"x": "A", "y": "A"}, "stage 2: outcomes 'x' and 'y' both record the name 'A'"),
+    ])
+    def test_repeated_outcome_names_rejected(self, names, message):
+        # Two outcomes under one name would give two leaves one record.
+        space = comp.direction_space()
+        stages = (unitary_on(comp.beam_splitter()), ProjectiveMeasure("direction", "ww", names),
+                  Detect())
+        with pytest.raises(PipelineError) as exc:
+            Pipeline(space, space.basis_state(("x",)), stages)
+        assert str(exc.value) == message
+        with pytest.raises(PipelineError) as exc:
+            exp.PipelineFamily(space, space.basis_state(("x",)), stages)
+        assert str(exc.value) == message
 
     def test_mismatched_targets_rejected(self):
         space = comp.direction_space()
