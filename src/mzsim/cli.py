@@ -6,7 +6,8 @@
 
 Exit codes: 0 success; 1 parse/validation error (also a bad seed or a
 non-finite sweep grid); 2 I/O error; 3 conditioning on a zero-probability
-event; 4 sweep with fewer than 2 steps.
+event; 4 sweep with fewer than 2 steps or more than MAX_SWEEP_STEPS
+(10**6), checked before the grid is built.
 
 Output is deterministic: identical file bytes, flags, and seed produce
 byte-identical output.  CSV uses ',' separators, '.' decimal points, LF
@@ -38,6 +39,9 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_ZERO_CONDITION = 3
 EXIT_BAD_GRID = 4
+#: Most grid points `mzx sweep` takes: the grid and its results are held in
+#: memory, a few hundred bytes per point.
+MAX_SWEEP_STEPS = 10**6
 
 
 class CliError(Exception):
@@ -244,6 +248,8 @@ def _emit_run(report: RunReport, fmt: str):
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise CliError(EXIT_BAD_GRID, "--steps must be at least 2")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise CliError(EXIT_BAD_GRID, f"--steps must be at most {MAX_SWEEP_STEPS}")
     ast, digest = _load(args.file)
     given = _parse_given(args.given)
     try:

@@ -19,12 +19,11 @@ measurement stages) for any shot count; it orders its histogram by one
 is always the source of truth and sampling is validated against it.
 
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
-`dsl.sweep_template` returns) runs as a batch: its swept stages are stacked
-over the grid and lifted once, and one depth-first walk evolves the
-amplitudes of G points (up to SWEEP_CHUNK) as a (G, d) array, reproducing
-`_branch_tree`'s arithmetic bit for bit.  Any other pipeline builder runs
-point by point through `run_analytic`, the reference the batch is tested
-against.
+`dsl.sweep_template` returns) runs as a batch: `_branch_tree` walks a forest
+of one root row per grid point, up to SWEEP_CHUNK of them, with its swept
+stages stacked over those points, so each point's leaves and sums are
+`run_analytic`'s bit for bit.  Any other pipeline builder runs point by
+point through `run_analytic`, the reference the batch is tested against.
 
 Branch records map a per-stage record key ("ww", "abs", "detector") to an
 outcome label; record tuples list the keys in stage order.  A valid
@@ -53,8 +52,9 @@ PRUNE_PROB = 1e-14
 ATOL_DIST_SUM = 1e-10
 #: Tolerance for distribution equality in the delayed-choice check.
 ATOL_DELAYED = 1e-12
-#: Grid points per batched sweep walk; a lifted (points, d, d) stage stack
-#: then takes at most 9 MiB at d = 24, the largest space `dsl` builds.
+#: Grid points per batched sweep walk.  Its largest array is a swept stage's
+#: lifted (rows, n, d, d) stack for n outcomes, gathered per row after a split:
+#: 9 MiB per outcome and row per point at d = 24, the largest space `dsl` builds.
 SWEEP_CHUNK = 1024
 #: Shots per sampling block; a block's draws take SHOT_BLOCK x 8 bytes per
 #: measurement stage.
@@ -217,7 +217,7 @@ class SweptStage:
     `template` is the stage at one valid value; it fixes the stage's kind,
     targets and record key.  `build(value)` is the stage at `value`, and
     `stack(values)` gives its local matrices at every value, in the order
-    `_local_operators` lists them for `template`, as (len(values), k, k)
+    `_stage_operators` lists them for `template`, as (len(values), k, k)
     arrays.
     """
 
@@ -240,11 +240,8 @@ class PipelineFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        problems = validate_stages(self.space, self.initial,
-                                   [s.template if isinstance(s, SweptStage) else s
-                                    for s in self.stages])
-        if problems:
-            raise PipelineError("; ".join(problems))
+        Pipeline(self.space, self.initial,   # validates the stages as their templates
+                 tuple(s.template if isinstance(s, SweptStage) else s for s in self.stages))
 
     def __call__(self, value: float) -> Pipeline:
         return Pipeline(self.space, self.initial,
@@ -343,44 +340,37 @@ def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> f
     return _total(prob for outcomes, prob in in_given if of(outcomes)) / p_given
 
 
-def _local_operators(stage: Stage, space: SpaceSpec
-                     ) -> tuple[list[int], list[tuple[str | None, np.ndarray]]]:
-    """Target axes, and (outcome label, matrix on those axes) per branch;
-    label None = unitary."""
+def _stage_operators(stage: Stage, space: SpaceSpec, local: Sequence[np.ndarray] | None = None
+                     ) -> tuple[list[str | None], np.ndarray]:
+    """Outcome label per branch (None = unitary) and the branches' full-space
+    matrices as one (branches, d, d) stack, lifted in one call.  Given a
+    swept stage's `local` matrices at G grid points (`SweptStage.stack`, in
+    this branch order), the stack is theirs, (G, branches, d, d)."""
     if isinstance(stage, Unitary):
-        return [space.axis(t) for t in stage.targets], [(None, stage.op.matrix)]
-    if isinstance(stage, GeneralizedMeasure):
-        return ([space.axis(t) for t in stage.targets],
-                [("yes", stage.kraus.k_abs.matrix), ("no", stage.kraus.k_noabs.matrix)])
-    if isinstance(stage, ProjectiveMeasure):
-        subsystem, names = stage.subsystem, stage.outcome_names or {}
-    elif isinstance(stage, Detect):
-        subsystem, names = "direction", {"x": "X", "y": "Y"}
+        axes, outcomes, mats = ([space.axis(t) for t in stage.targets], [None],
+                                stage.op.matrix[None])
+    elif isinstance(stage, GeneralizedMeasure):
+        axes, outcomes = [space.axis(t) for t in stage.targets], ["yes", "no"]
+        mats = np.array([stage.kraus.k_abs.matrix, stage.kraus.k_noabs.matrix])
+    elif isinstance(stage, (ProjectiveMeasure, Detect)):
+        subsystem, names = ((stage.subsystem, stage.outcome_names or {})
+                            if isinstance(stage, ProjectiveMeasure) else
+                            ("direction", {"x": "X", "y": "Y"}))
+        axes = [space.axis(subsystem)]
+        sub = space.subsystems[axes[0]]
+        outcomes = [names.get(label, label) for label in sub.labels]
+        mats = np.array([label_projector(sub, label) for label in sub.labels])
     else:
         raise TypeError(f"unknown stage {stage!r}")
-    axis = space.axis(subsystem)
-    sub = space.subsystems[axis]
-    return [axis], [(names.get(label, label), label_projector(sub, label))
-                    for label in sub.labels]
-
-
-def _stage_operators(stage: Stage, space: SpaceSpec) -> tuple[list[str | None], np.ndarray]:
-    """Outcome label per branch (None = unitary) and the branches' full-space
-    matrices as one (branches, d, d) stack, lifted in one call."""
-    axes, local = _local_operators(stage, space)
-    return ([outcome for outcome, _ in local],
-            lift(np.array([mat for _, mat in local]), axes, space.dims))
+    if local is not None:
+        mats = np.array(local).swapaxes(0, 1)
+    return outcomes, lift(mats, axes, space.dims)
 
 
 def _record_key(stage: Stage) -> str | None:
     if isinstance(stage, (ProjectiveMeasure, GeneralizedMeasure, Detect)):
         return stage.record_key
     return None
-
-
-def _objects(items: list) -> np.ndarray:
-    """A 1-D object array of `items`, tuples kept whole."""
-    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class Level(NamedTuple):
@@ -403,10 +393,10 @@ class BranchTree(NamedTuple):
 
     `levels` holds every measurement `Level` in stage order.  The leaves,
     the final rows that no branch below PRUNE_PROB leads to, are arrays in
-    depth-first order: their final-row indices `leaves`, probabilities
-    `probs` and normalized amplitudes `amps`, one (L, d) block.  A final
-    row's record is not built by the walk; `outcomes` and `records` read it
-    back from the levels for the rows asked for.
+    grid-point order, depth-first within a point: their final-row indices
+    `leaves`, probabilities `probs` and normalized amplitudes `amps`, one
+    (L, d) block.  `outcomes` and `records` read a final row's record back
+    from the levels, for the rows asked for.
     """
 
     levels: list[Level]
@@ -416,12 +406,8 @@ class BranchTree(NamedTuple):
 
     def outcomes(self, final_rows: np.ndarray) -> list[np.ndarray]:
         """The outcome each of `final_rows` took at every level, one array
-        per level in stage order, found by walking the rows back up."""
-        columns, rows = [], final_rows
-        for level in reversed(self.levels):
-            columns.append(level.outs[rows])
-            rows = level.rows[rows]
-        return columns[::-1]
+        per level in stage order."""
+        return _ancestry(self.levels, final_rows)[0]
 
     def records(self, outcomes: list[np.ndarray]) -> list[Record]:
         """The records of the rows whose `outcomes` are given."""
@@ -429,31 +415,51 @@ class BranchTree(NamedTuple):
                           for level, column in zip(self.levels, outcomes))))
 
 
-def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
-                 ) -> BranchTree:
-    """Breadth-first exact evolution of every measurement branch.
+def _ancestry(levels: list[Level], rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The outcome each of `rows` (of the level after `levels`) took at every
+    level, one array per level in stage order, and the first level's row it
+    descends from, which is its grid point: found by walking the rows up."""
+    columns = []
+    for level in reversed(levels):
+        columns.append(level.outs[rows])
+        rows = level.rows[rows]
+    return columns[::-1], rows
+
+
+def _branch_tree(space: SpaceSpec, initial: StateVector,
+                 stages: Sequence[Stage | tuple[Stage, Sequence[np.ndarray]]],
+                 points: int = 1) -> BranchTree:
+    """Breadth-first exact evolution of every measurement branch, at each of
+    `points` grid points.
 
     The walk holds the live branches of one measurement level as rows of a
-    (B, d) amplitude array.  A measurement stage with n outcomes maps them to
-    (B, n, d) sub-amplitudes and (B, n) weights, and every outcome of
-    positive weight becomes a row of the next level, parent-major and
-    outcome-minor, so rows stay in depth-first order and each row's
-    arithmetic is that of a walk down its own branch.
+    (B, d) amplitude array, starting from one row of `initial` per point.  A
+    measurement stage with n outcomes maps them to (B, n, d) sub-amplitudes
+    and (B, n) weights, and every outcome of positive weight becomes a row
+    of the next level, parent-major and outcome-minor: rows stay in point
+    order, depth-first within a point, and each row's arithmetic is that of
+    a walk down its own branch at its own point.
 
-    The final rows keep every outcome of positive probability, since any of
-    them can be drawn; the leaves are those kept at or above PRUNE_PROB,
-    returned as arrays (see `BranchTree`) and not checked here.  Stage order
-    is taken as given (the delayed-choice check deliberately runs stage
-    lists that would not validate as a user pipeline).
+    A swept stage comes as (template stage, `SweptStage.stack` at the
+    points), lifted as one (points, n, d, d) stack.  Every point keeps a row
+    (its weights sum to 1), so while B equals `points` the rows are the
+    points in order; a level with more rows gathers each row's matrices.
+
+    The leaves are the final rows kept at or above PRUNE_PROB (see
+    `BranchTree`), not checked here.  Stage order is taken as given (the
+    delayed-choice check runs stage lists that would not validate).
     """
-    amps = initial.amps[None, :]
-    prob = np.ones(1)
-    kept = np.ones(1, dtype=bool)
+    amps = initial.amps[None, :].repeat(points, axis=0)
+    prob = np.ones(points)
+    kept = np.ones(points, dtype=bool)
     levels: list[Level] = []
     for stage in stages:
-        key, (outcomes, mats) = _record_key(stage), _stage_operators(stage, space)
+        stage, local = stage if isinstance(stage, tuple) else (stage, None)
+        key, (outcomes, mats) = _record_key(stage), _stage_operators(stage, space, local)
+        if local is not None and len(amps) > points:
+            mats = mats[_ancestry(levels, np.arange(len(amps)))[1]]
         if key is None:
-            amps = np.matmul(mats[0], amps[..., None])[..., 0]
+            amps = np.matmul(mats[..., 0, :, :], amps[..., None])[..., 0]
             continue
         sub = np.matmul(mats, amps[:, None, :, None])[..., 0]
         weights = np.vecdot(sub, sub).real
@@ -462,9 +468,11 @@ def _branch_tree(space: SpaceSpec, initial: StateVector, stages: Sequence[Stage]
         amps = sub[rows, outs] / np.sqrt(weight)[:, None]
         prob = prob[rows] * weight
         kept = kept[rows] & (prob >= PRUNE_PROB)
-        levels.append(Level(_objects([(key, outcome) for outcome in outcomes]),
-                            weights, rows, outs))
-    leaves = np.flatnonzero(kept)
+        # A 1-D object array of the (key, outcome) pairs, tuples kept whole.
+        pairs = np.fromiter(((key, outcome) for outcome in outcomes), dtype=object,
+                            count=len(outcomes))
+        levels.append(Level(pairs, weights, rows, outs))
+    leaves = kept.nonzero()[0]
     return BranchTree(levels, leaves, prob[leaves], amps[leaves])
 
 
@@ -578,13 +586,12 @@ def _label_ranks(pairs: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@dataclass(frozen=True, eq=False)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     value: float
     prob_x: float
     prob_y: float
-    cond_x: float | None = field(default=None)
-    cond_y: float | None = field(default=None)
+    cond_x: float | None = None
+    cond_y: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,92 +612,56 @@ def visibility(probs: Sequence[float]) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _swept_operators(family: PipelineFamily, values: np.ndarray
-                     ) -> list[tuple[str | None, list[tuple[str | None, np.ndarray]]]]:
-    """(record key, [(outcome label, full-space matrix)]) per stage of the
-    family; a swept stage's matrices carry a leading grid axis."""
-    space, out = family.space, []
-    for stage in family.stages:
-        if isinstance(stage, SweptStage):
-            axes, local = _local_operators(stage.template, space)
-            ops = [(outcome, lift(mat, axes, space.dims))
-                   for (outcome, _), mat in zip(local, stage.stack(values))]
-            out.append((_record_key(stage.template), ops))
-        else:
-            out.append((_record_key(stage), list(zip(*_stage_operators(stage, space)))))
-    return out
-
-
-def _swept_leaves(initial: StateVector, stage_ops, points: int
-                  ) -> list[tuple[Record, np.ndarray, np.ndarray]]:
-    """`_branch_tree`'s analytic leaves at every grid point at once.
-
-    Amplitudes have shape (points, d).  Each leaf is (record, probability
-    per point, mask of the points whose walk keeps it); the arithmetic per
-    point is `_branch_tree`'s, operation for operation, so kept values are
-    bit for bit the same.  A subtree that no point keeps is not walked.
-    """
-    leaves = []
-    stack = [(0, np.tile(initial.amps, (points, 1)), np.ones(points), (),
-              np.ones(points, dtype=bool))]
-    while stack:
-        depth, amps, prob, record, kept = stack.pop()
-        while depth < len(stage_ops) and stage_ops[depth][0] is None:
-            amps = np.matmul(stage_ops[depth][1][0][1], amps[..., None])[..., 0]
-            depth += 1
-        if depth == len(stage_ops):
-            leaves.append((record, prob, kept))
-            continue
-        key, ops = stage_ops[depth]
-        pending = []
-        for outcome, mat in ops:
-            sub = np.matmul(mat, amps[..., None])[..., 0]
-            weight = np.vecdot(sub, sub).real
-            branch_prob = prob * weight
-            live = kept & (branch_prob >= PRUNE_PROB)
-            if live.any():
-                # Zero-weight points are not kept; they get zeros, not 0/0.
-                sub = np.divide(sub, np.sqrt(weight)[:, None], out=np.zeros_like(sub),
-                                where=(weight > 0.0)[:, None])
-                pending.append((depth + 1, sub, branch_prob, record + ((key, outcome),),
-                                live))
-        stack.extend(reversed(pending))
-    return leaves
-
-
 def _swept_points(family: PipelineFamily, grid: Sequence[float],
                   given: Predicate | None) -> list[SweepPoint] | None:
-    """`sweep`'s points from batched walks over SWEEP_CHUNK grid points at a
-    time, or None if a stage rejects a grid value."""
+    """`sweep`'s points from one `_branch_tree` walk per SWEEP_CHUNK grid
+    points, or None if a swept stage rejects a grid value."""
     points: list[SweepPoint] = []
     for start in range(0, len(grid), SWEEP_CHUNK):
         chunk = grid[start:start + SWEEP_CHUNK]
+        values = np.asarray(chunk, dtype=np.float64)
         try:
-            stage_ops = _swept_operators(family, np.asarray(chunk, dtype=np.float64))
-        except Exception:  # whatever `SweptStage.build` raises for the value
+            stages = [(s.template, s.stack(values)) if isinstance(s, SweptStage) else s
+                      for s in family.stages]
+        except Exception:  # whatever `SweptStage.stack` raises for the value
             return None
-        points += _chunk_points(family.initial, stage_ops, chunk, given)
+        tree = _branch_tree(family.space, family.initial, stages, len(chunk))
+        points += _chunk_points(tree, chunk, given)
     return points
 
 
-def _chunk_points(initial: StateVector, stage_ops, grid: Sequence[float],
+def _chunk_points(tree: BranchTree, grid: Sequence[float],
                   given: Predicate | None) -> list[SweepPoint]:
-    """The points of one batched walk, equal to the per-point ones."""
-    leaves = [(dict(record), prob, kept)
-              for record, prob, kept in _swept_leaves(initial, stage_ops, len(grid))]
+    """The points of one walk over `grid`, equal to the per-point ones.
 
-    def total(of: Predicate) -> np.ndarray:
-        """`marginal` at every point: the sum over kept leaves in
-        depth-first order."""
-        acc = np.zeros(len(grid))
-        for outcomes, prob, kept in leaves:
-            if of(outcomes):
-                acc = acc + np.where(kept, prob, 0.0)
-        return acc
+    Each predicate is called once per distinct leaf record.  Every sum is
+    `marginal`'s, a point's leaves added in leaf order from 0.0, as
+    `np.bincount` adds them."""
+    outcomes, points = _ancestry(tree.levels, tree.leaves)
+    # Number the leaves' outcome paths densely, level by level, and read the
+    # record of each path once.
+    path, paths = np.zeros(len(points), dtype=np.intp), 1
+    for level, column in zip(tree.levels, outcomes):
+        path = path * len(level.pairs) + column
+        seen = np.zeros(paths * len(level.pairs), dtype=bool)
+        seen[path] = True
+        number = np.cumsum(seen) - 1
+        path, paths = number[path], int(number[-1]) + 1
+    leaf = np.empty(paths, dtype=np.intp)
+    leaf[path] = np.arange(len(path))
+    records = [dict(record) for record in tree.records([column[leaf] for column in outcomes])]
 
-    is_x, is_y = matches(detector="X"), matches(detector="Y")
-    sums = total(lambda outcomes: True)
-    p_given = total(given) if given is not None else np.ones(len(grid))
+    # Which paths each sum takes: all, X, Y, and then given, given and X,
+    # given and Y.
+    masks = np.array([[True] * paths] + [[bool(of(record)) for record in records] for of in
+                      (matches(detector="X"), matches(detector="Y"), given) if of is not None])
+    if given is not None:
+        masks = np.concatenate((masks, masks[3] & masks[1:3]))
+    weights = np.where(masks[:, path], tree.probs, 0.0)
+    bins = np.add.outer(np.arange(0, len(masks) * len(grid), len(grid)), points)
+    sums, prob_x, prob_y, *conditioned = np.bincount(
+        bins.ravel(), weights.ravel(), len(masks) * len(grid)).reshape(len(masks), len(grid))
+    p_given = conditioned[0] if conditioned else np.ones(len(grid))
     # The point-by-point checks of `OutcomeDistribution` and `conditional`,
     # raised for the first point that fails one, as the loop would.
     bad_sum = np.abs(sums - 1.0) > ATOL_DIST_SUM
@@ -699,12 +670,8 @@ def _chunk_points(initial: StateVector, stage_ops, grid: Sequence[float],
         if bad_sum[failed[0]]:
             raise ValueError(f"branch probabilities sum to {float(sums[failed[0]])!r}, not 1")
         raise ZeroProbabilityEventError("conditioning event has zero probability")
-    prob_x, prob_y = total(is_x).tolist(), total(is_y).tolist()
-    if given is None:
-        return [SweepPoint(*point) for point in zip(grid, prob_x, prob_y)]
-    cond_x = (total(lambda o: given(o) and is_x(o)) / p_given).tolist()
-    cond_y = (total(lambda o: given(o) and is_y(o)) / p_given).tolist()
-    return [SweepPoint(*point) for point in zip(grid, prob_x, prob_y, cond_x, cond_y)]
+    conds = [(total / p_given).tolist() for total in conditioned[1:]] or [repeat(None)] * 2
+    return list(map(SweepPoint._make, zip(grid, prob_x.tolist(), prob_y.tolist(), *conds)))
 
 
 def sweep(build: Callable[[float], Pipeline], parameter: str,
@@ -712,34 +679,25 @@ def sweep(build: Callable[[float], Pipeline], parameter: str,
     """Run `build(value)` analytically over the grid.
 
     The visibility is computed from Prob{X} per point, conditioned on
-    `given` when provided.  A `PipelineFamily` runs as a batch: per
-    SWEEP_CHUNK grid points, each stage is lifted once and one depth-first
-    walk evolves those points together, with the per-point results of the
+    `given` when provided.  A `PipelineFamily` runs as a batch, one
+    `_branch_tree` walk per SWEEP_CHUNK grid points, with the results of the
     loop below bit for bit.  Any other callable, and a family with a grid
-    value that one of its stages rejects, runs point by point in grid
-    order, so errors surface at the first point that raises them.
+    value that a swept stage rejects, runs point by point in grid order, so
+    errors surface at the first point that raises them.
     """
     if len(grid) == 0:
         raise ValueError("sweep grid must not be empty")
-    if any(not math.isfinite(v) for v in grid):
+    if not all(map(math.isfinite, grid)):
         raise ValueError("sweep grid contains non-finite values")
     points = _swept_points(build, grid, given) if isinstance(build, PipelineFamily) else None
     if points is None:
-        # Also where a stage rejects some grid value: the loop raises the
-        # error at the first point where it occurs.
-        points = []
+        points, detectors = [], (matches(detector="X"), matches(detector="Y"))
         for value in grid:
             dist = run_analytic(build(value))
-            prob_x = marginal(dist, matches(detector="X"))
-            prob_y = marginal(dist, matches(detector="Y"))
-            if given is None:
-                points.append(SweepPoint(value, prob_x, prob_y))
-            else:
-                points.append(SweepPoint(
-                    value, prob_x, prob_y,
-                    conditional(dist, given, matches(detector="X")),
-                    conditional(dist, given, matches(detector="Y")),
-                ))
+            point = [value] + [marginal(dist, of) for of in detectors]
+            if given is not None:
+                point += [conditional(dist, given, of) for of in detectors]
+            points.append(SweepPoint(*point))
     fringe = [p.prob_x if given is None else p.cond_x for p in points]
     return SweepResult(parameter, tuple(grid), tuple(points), visibility(fringe))
 

@@ -200,6 +200,14 @@ class TestSweep:
                                "--steps", "1")
         assert code == 4
 
+    def test_too_many_steps_exits_4(self, capsys):
+        # Rejected before the grid is built, so this allocates nothing.
+        code, out, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),
+                                 "--param", "phi", "--from", "0", "--to", "1",
+                                 "--steps", str(cli.MAX_SWEEP_STEPS + 1))
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and f"at most {cli.MAX_SWEEP_STEPS}" in err
+
     def test_unknown_parameter_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),
                                "--param", "theta", "--from", "0", "--to", "1",

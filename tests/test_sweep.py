@@ -137,15 +137,52 @@ def test_zero_probability_before_a_bad_eta_raises_first():
 
 def test_batch_neither_compiles_nor_walks_per_point(monkeypatch):
     family = dsl.sweep_template(load("eraser_phase.mzx"), "phi")
+    walk, walked = exp._branch_tree, []
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called per point")
 
+    def counted(space, initial, stages, points=1):
+        walked.append(points)
+        return walk(space, initial, stages, points)
+
     monkeypatch.setattr(dsl, "compile", forbidden)
     monkeypatch.setattr(exp, "run_analytic", forbidden)
-    monkeypatch.setattr(exp, "_branch_tree", forbidden)
+    monkeypatch.setattr(exp, "_branch_tree", counted)
     result = sweep(family, "phi", [0.0, 1.0, math.pi], given=matches(abs="yes"))
     assert abs(result.visibility - 1.0) <= 1e-12
+    assert walked == [3]
+    # One walk per SWEEP_CHUNK grid points.
+    monkeypatch.setattr(exp, "SWEEP_CHUNK", 2)
+    walked.clear()
+    sweep(family, "phi", [0.0, 1.0, math.pi, 2.0, 3.0], given=matches(abs="yes"))
+    assert walked == [2, 2, 1]
+
+
+def test_a_failing_walk_is_not_a_rejected_value(monkeypatch):
+    # Only a grid value a swept stage rejects selects the point-by-point
+    # loop; an error in the batched walk itself propagates.
+    family = dsl.sweep_template(load("eraser_phase.mzx"), "phi")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("walk failed")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fell back to the point-by-point loop")
+
+    monkeypatch.setattr(exp, "_branch_tree", broken)
+    monkeypatch.setattr(exp, "run_analytic", forbidden)
+    with pytest.raises(RuntimeError, match="walk failed"):
+        sweep(family, "phi", [0.0, 1.0])
+
+
+def test_deep_records_equal_point_by_point():
+    # 66 measurement levels: numbering the leaves' outcome paths by their
+    # outcomes alone would need 2**66 numbers, more than an int64 holds.
+    text = "source A\nbeamsplitter\n" + "wwreadout\n" * 64 + "phase B p\nbeamsplitter\ndetect\n"
+    for condition in (None, {"ww64": "B"}):
+        batched, reference = both(dsl.parse_text(text), "p", [0.0, 1.0, math.pi], condition)
+        assert batched == reference
 
 
 def test_unmatched_point_reports_float_zero():
@@ -160,8 +197,13 @@ def test_unmatched_point_reports_float_zero():
 def test_chunked_batches_equal_point_by_point(monkeypatch, condition):
     monkeypatch.setattr(exp, "SWEEP_CHUNK", 3)
     grid = [0.0, 1.0, 2.0, math.pi, 0.5, math.pi, 0.0, 3.0]
-    for name in PHASE_FILES:
-        batched, reference = both(load(name), "phi", grid, condition)
+    # The last two sweep a phase after the which-way readout has split every
+    # point's row in two, so the walk gathers the phase stack per row.
+    asts = [load(name) for name in PHASE_FILES] + [
+        dsl.parse_text(f"source A\nbeamsplitter\nwwreadout\nphase {arm} phi\n"
+                       "beamsplitter\ndetect\n") for arm in "AB"]
+    for ast in asts:
+        batched, reference = both(ast, "phi", grid, condition)
         assert batched == reference
 
 
