@@ -4,10 +4,11 @@
     mzx sweep FILE --param NAME --from A --to B --steps K [--format ...] [--given ...]
     mzx validate FILE
 
-Exit codes: 0 success; 1 parse/validation error (also a bad seed or a
-non-finite sweep grid); 2 I/O error; 3 conditioning on a zero-probability
-event; 4 sweep with fewer than 2 steps or more than MAX_SWEEP_STEPS
-(10**6), checked before the grid is built.
+Exit codes: 0 success; 1 parse/validation error (also a bad seed, a
+non-finite sweep grid, or a `--given` pair with an empty key or value or a
+repeated key); 2 I/O error; 3 conditioning on a zero-probability event; 4
+sweep with fewer than 2 steps or more than MAX_SWEEP_STEPS (10**6),
+checked before the grid is built.
 
 Output is deterministic: identical file bytes, flags, and seed produce
 byte-identical output.  CSV uses ',' separators, '.' decimal points, LF
@@ -76,15 +77,19 @@ def _read_file(path: str) -> bytes:
 
 
 def _parse_given(text: str | None) -> dict[str, str]:
+    """The record key -> outcome label pairs of a `--given` flag: each key
+    and value non-empty, and no key twice."""
     if not text:
         return {}
     pairs = {}
     for chunk in text.split(","):
-        if "=" not in chunk:
+        key, eq, value = (part.strip() for part in chunk.partition("="))
+        if not (eq and key and value):
             raise CliError(EXIT_INVALID,
                            f"--given expects key=value pairs, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        if key in pairs:
+            raise CliError(EXIT_INVALID, f"--given repeats the key {key!r}")
+        pairs[key] = value
     return pairs
 
 

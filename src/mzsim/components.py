@@ -147,13 +147,15 @@ class EraserKrausPair:
 
     `k_abs` absorbs the photon (eraser gamma -> epsilon, photon -> vac),
     `k_noabs` is the complementary no-click evolution; together they are
-    trace-preserving: k_abs†k_abs + k_noabs†k_noabs = I.
+    trace-preserving: k_abs†k_abs + k_noabs†k_noabs = I.  `_lifted` memoizes
+    the pair's full-space (2, d, d) stacks, as `LinearMap._lifted` does.
     """
 
     k_abs: LinearMap
     k_noabs: LinearMap
     eta: float
     mode: str = field(default="symmetric")
+    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = (self.k_abs.dagger @ self.k_abs).matrix + \
@@ -183,6 +185,10 @@ def eraser_kraus(eta: float, mode: str = "symmetric") -> EraserKrausPair:
 
     An unabsorbed photon stays in the photon register, with only the
     coupled-mode amplitude damped.
+
+    The cache keeps up to 256 pairs, each with the stacks it was lifted to:
+    on the 24-dimensional eraser space, one (2, 24, 24) complex stack of
+    18 KiB, so at most 4.5 MiB in all.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -64,13 +65,12 @@ def _semantic(line, col, msg):
     return ParseError(line, col, msg, "semantic")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str            # "keyword" | "ident" | "number" | "symbol"
     text: str
     line: int
     col: int
-    value: float | None = field(default=None)
+    value: float | None = None
 
 
 def tokenize(src: str) -> list[Token]:
@@ -420,21 +420,28 @@ _PATH_TO_DIRECTION = {"A": "x", "B": "y"}
 
 
 def _layout(ast: ExperimentAst) -> tuple[hilbert.SpaceSpec, hilbert.StateVector]:
-    """The space a validated AST needs and its initial basis state."""
-    subsystems = [hilbert.direction()]
-    if ast.uses_entangler:
-        subsystems += [hilbert.photon(), hilbert.atom()]
-    if ast.uses_eraser:
-        subsystems.append(hilbert.eraser())
-    space = space_of(*subsystems)
+    """The space a validated AST needs and its initial basis state.
 
+    Both follow from the source's label and whether the file uses the
+    entangler and the eraser, so `_layout_of` builds each of the at most 8
+    layouts once; the space and the state are immutable, and every pipeline
+    of one layout shares them."""
     source = next(d for d in ast.directives if isinstance(d, SourceDecl))
-    labels = {"direction": _PATH_TO_DIRECTION[source.label]}
-    if ast.uses_entangler:
-        labels["photon"] = "vac"
-        labels["atom"] = "e"
-    if ast.uses_eraser:
+    return _layout_of(source.label, ast.uses_entangler, ast.uses_eraser)
+
+
+@lru_cache(maxsize=None)
+def _layout_of(label: str, entangler: bool, eraser: bool
+               ) -> tuple[hilbert.SpaceSpec, hilbert.StateVector]:
+    subsystems = [hilbert.direction()]
+    labels = {"direction": _PATH_TO_DIRECTION[label]}
+    if entangler:
+        subsystems += [hilbert.photon(), hilbert.atom()]
+        labels.update(photon="vac", atom="e")
+    if eraser:
+        subsystems.append(hilbert.eraser())
         labels["eraser"] = "gamma"
+    space = space_of(*subsystems)
     return space, space.basis_state(labels)
 
 

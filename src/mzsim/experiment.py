@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import add, attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -43,7 +43,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .hilbert import LinearMap, SpaceSpec, StateVector, check_states, label_projector, lift
+from .hilbert import (LinearMap, SpaceSpec, StateVector, SubsystemSpec, check_states,
+                      label_projector, lift)
 from .components import EraserKrausPair
 
 #: Branches below this probability are dropped from analytic distributions.
@@ -343,28 +344,59 @@ def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> f
 def _stage_operators(stage: Stage, space: SpaceSpec, local: Sequence[np.ndarray] | None = None
                      ) -> tuple[list[str | None], np.ndarray]:
     """Outcome label per branch (None = unitary) and the branches' full-space
-    matrices as one (branches, d, d) stack, lifted in one call.  Given a
+    matrices as one read-only (branches, d, d) stack.
+
+    A compiled stage never changes, so its stack is lifted at most once per
+    (axes, dims): a unitary's or a Kraus pair's into its operator's memo
+    (`_lifted`), a projective measurement's or the detectors' by subsystem
+    (`_projector_stack`).  Shared components are one object per process, so
+    every pipeline and walk that uses them reads the same array.  Given a
     swept stage's `local` matrices at G grid points (`SweptStage.stack`, in
-    this branch order), the stack is theirs, (G, branches, d, d)."""
-    if isinstance(stage, Unitary):
-        axes, outcomes, mats = ([space.axis(t) for t in stage.targets], [None],
-                                stage.op.matrix[None])
-    elif isinstance(stage, GeneralizedMeasure):
-        axes, outcomes = [space.axis(t) for t in stage.targets], ["yes", "no"]
-        mats = np.array([stage.kraus.k_abs.matrix, stage.kraus.k_noabs.matrix])
+    this branch order), the stack is theirs, (G, branches, d, d), lifted
+    anew on every call."""
+    if isinstance(stage, (Unitary, GeneralizedMeasure)):
+        owner, outcomes = ((stage.op, [None]) if isinstance(stage, Unitary) else
+                           (stage.kraus, ["yes", "no"]))
+        axes = tuple(map(space.axis, stage.targets))
+        if local is None:
+            return outcomes, _lift_once(owner, axes, space.dims)
     elif isinstance(stage, (ProjectiveMeasure, Detect)):
         subsystem, names = ((stage.subsystem, stage.outcome_names or {})
                             if isinstance(stage, ProjectiveMeasure) else
                             ("direction", {"x": "X", "y": "Y"}))
-        axes = [space.axis(subsystem)]
+        axes = (space.axis(subsystem),)
         sub = space.subsystems[axes[0]]
         outcomes = [names.get(label, label) for label in sub.labels]
-        mats = np.array([label_projector(sub, label) for label in sub.labels])
+        if local is None:
+            return outcomes, _projector_stack(sub, axes[0], space.dims)
     else:
         raise TypeError(f"unknown stage {stage!r}")
-    if local is not None:
-        mats = np.array(local).swapaxes(0, 1)
-    return outcomes, lift(mats, axes, space.dims)
+    return outcomes, lift(np.array(local).swapaxes(0, 1), axes, space.dims)
+
+
+def _lift_once(owner: LinearMap | EraserKrausPair, axes: tuple[int, ...],
+               dims: tuple[int, ...]) -> np.ndarray:
+    """The read-only full-space stack of a unitary's matrix, (1, d, d), or of
+    a Kraus pair's [k_abs, k_noabs], (2, d, d), at (axes, dims): lifted on
+    the first call and kept in the operator's `_lifted` memo after."""
+    stack = owner._lifted.get((axes, dims))
+    if stack is None:
+        mats = (owner.matrix[None] if isinstance(owner, LinearMap) else
+                np.array([owner.k_abs.matrix, owner.k_noabs.matrix]))
+        stack = owner._lifted[axes, dims] = lift(mats, axes, dims)
+        stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=32)
+def _projector_stack(sub: SubsystemSpec, axis: int, dims: tuple[int, ...]) -> np.ndarray:
+    """The read-only (labels, d, d) stack of `sub`'s label projectors, in
+    label order, lifted to axis `axis` of a space of subsystem dimensions
+    `dims`.  The key is the structure, as for `hilbert._lift_plan`; an
+    entry takes 27 KiB or less at d = 24, the largest space `dsl` builds."""
+    stack = lift(np.array([label_projector(sub, label) for label in sub.labels]), (axis,), dims)
+    stack.setflags(write=False)
+    return stack
 
 
 def _record_key(stage: Stage) -> str | None:

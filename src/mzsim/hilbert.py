@@ -11,6 +11,14 @@ validated wrappers around it.  What `lift` needs besides the matrix, its
 index plan, depends only on the shape of the space and the target axes, so
 it is worked out once per (axes, dims) and cached; no matrix content is.
 
+The one mutable part is a memo: a `LinearMap`'s `_lifted` dict (and a
+`components.EraserKrausPair`'s) holds the read-only stacks that
+`experiment._stage_operators` lifted the map to, keyed by the int tuples
+(axes, dims), so a map shared by many pipelines is lifted once per space
+layout.  It cannot go stale: the matrix is read-only from construction and
+the map is frozen, so the same (axes, dims) always lifts to the same bytes.
+It takes no part in equality or repr and dies with its map.
+
 Tolerances are fixed module constants.  Constructors reject bad input
 (non-finite amplitudes, non-unit norms, non-unitary matrices flagged
 unitary) instead of silently repairing it.  The state rule lives in
@@ -236,12 +244,14 @@ class LinearMap:
     """Dense square matrix over a SpaceSpec, optionally flagged unitary.
 
     The unitary flag is *checked* at construction: max|M†M - I| must not
-    exceed ATOL_UNITARY.
+    exceed ATOL_UNITARY.  `_lifted` is the memo of full-space stacks
+    described in the module docstring.
     """
 
     space: SpaceSpec
     matrix: np.ndarray
     unitary: bool = field(default=False)
+    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)

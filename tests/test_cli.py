@@ -13,6 +13,18 @@ from mzsim import cli, dsl
 EXPERIMENT_DIR = Path(__file__).resolve().parent.parent / "experiments"
 
 
+# An empty key or value, or a key given twice, is a flag error: the first
+# two used to exit 3 (a zero-probability event), the last to keep `abs=no`.
+MALFORMED_GIVEN = [
+    ("abs=", "--given expects key=value pairs, got 'abs='"),
+    ("=yes", "--given expects key=value pairs, got '=yes'"),
+    (" = ", "--given expects key=value pairs, got ' = '"),
+    ("abs=yes,", "--given expects key=value pairs, got ''"),
+    ("abs=yes,abs=no", "--given repeats the key 'abs'"),
+    ("abs=yes, abs =yes", "--given repeats the key 'abs'"),
+]
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -118,6 +130,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", path("eraser.mzx"), "--given", "abs")
         assert code == 1
 
+    @pytest.mark.parametrize("given, message", MALFORMED_GIVEN)
+    @pytest.mark.parametrize("shots", [[], ["--shots", "10"]])
+    def test_malformed_given_pair_exits_1(self, capsys, given, message, shots):
+        code, out, err = run_cli(capsys, "run", path("eraser.mzx"), "--given", given, *shots)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestSeedResolution:
     def test_env_seed_used_as_default(self, capsys, monkeypatch):
@@ -193,6 +211,13 @@ class TestSweep:
         obj = json.loads(out)
         assert abs(obj["visibility"] - 1.0) <= 1e-10
         assert "given_x" in obj["branches"][0]
+
+    @pytest.mark.parametrize("given, message", MALFORMED_GIVEN)
+    def test_malformed_given_pair_exits_1(self, capsys, given, message):
+        code, out, err = run_cli(capsys, "sweep", path("eraser_phase.mzx"),
+                                 "--param", "phi", "--from", "0", "--to", "2pi",
+                                 "--steps", "4", "--given", given)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_too_few_steps_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),

@@ -2,7 +2,9 @@ import ast
 import gc
 import json
 import math
+import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -698,6 +700,172 @@ class TestPipelineValidation:
         other = comp.tagged_space()
         with pytest.raises(PipelineError):
             Pipeline(space, other.basis_state(("x", "vac", "e")), (Detect(),))
+
+
+def generated_program(seed):
+    """A seeded valid `.mzx` program: 3 to 20 beam splitters, mirrors and
+    phases, and either an entangler with up to two erasers after it (open
+    or closed, eta drawn or left out) or up to two which-way readouts."""
+    gen = random.Random(seed)
+    body = [gen.choice(["beamsplitter", "beamsplitter", "mirrors",
+                        f"phase {gen.choice('AB')} {gen.uniform(-7.0, 7.0)!r}"])
+            for _ in range(gen.randint(3, 20))]
+    if seed % 3:
+        at = gen.randrange(len(body))
+        body.insert(at, "entangler")
+        for _ in range(gen.randint(0, 2)):
+            body.insert(gen.randint(at + 1, len(body)),
+                        gen.choice(["eraser closed", "eraser open",
+                                    f"eraser open eta={gen.uniform(0.05, 1.0)!r}"]))
+    else:
+        for _ in range(gen.randint(0, 2)):
+            body.insert(gen.randint(0, len(body)), "wwreadout")
+    source = f"source {gen.choice('AB')}" + gen.choice(["", " excited"])
+    return "\n".join([source, *body, "detect"]) + "\n"
+
+
+GENERATED = range(60)
+
+
+def memo_pipeline(which):
+    """A shipped file's pipeline, or a generated program's by seed."""
+    if isinstance(which, Path):
+        return shipped_pipeline(which)
+    return dsl.compile(dsl.parse_text(generated_program(which)))
+
+
+MEMO_INPUTS = [pytest.param(path, id=path.name) for path in EXPERIMENTS] + \
+    [pytest.param(seed, id=f"generated-{seed}") for seed in GENERATED]
+
+
+def fresh_stack(stage, space):
+    """A new lift of a stage's matrices, as `_stage_operators` lists them."""
+    if isinstance(stage, exp.Unitary):
+        targets, mats = stage.targets, stage.op.matrix[None]
+    elif isinstance(stage, GeneralizedMeasure):
+        targets = stage.targets
+        mats = np.array([stage.kraus.k_abs.matrix, stage.kraus.k_noabs.matrix])
+    else:
+        targets = (stage.subsystem if isinstance(stage, ProjectiveMeasure) else "direction",)
+        sub = space.subsystem(targets[0])
+        mats = np.array([hilbert.label_projector(sub, label) for label in sub.labels])
+    return hilbert.lift(mats, [space.axis(t) for t in targets], space.dims)
+
+
+def lift_every_stage_fresh(monkeypatch):
+    """Replace the memo lookups of `_stage_operators` by new lifts."""
+    monkeypatch.setattr(exp, "_lift_once", lambda owner, axes, dims: hilbert.lift(
+        owner.matrix[None] if isinstance(owner, hilbert.LinearMap) else
+        np.array([owner.k_abs.matrix, owner.k_noabs.matrix]), axes, dims))
+    monkeypatch.setattr(exp, "_projector_stack", exp._projector_stack.__wrapped__)
+
+
+def module_container_sizes():
+    """The size of every cache and container at module level in `mzsim`."""
+    sizes = {}
+    for module in (hilbert, comp, exp, dsl, cli, rng):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                sizes[module.__name__, name] = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[module.__name__, name] = len(value)
+    return sizes
+
+
+class TestLiftMemo:
+    @pytest.mark.parametrize("which", MEMO_INPUTS)
+    def test_stage_stacks_are_read_only_fresh_lifts(self, which):
+        pipeline = memo_pipeline(which)
+        for stage in pipeline.stages:
+            outcomes, stack = exp._stage_operators(stage, pipeline.space)
+            again = exp._stage_operators(stage, pipeline.space)[1]
+            fresh = fresh_stack(stage, pipeline.space)
+            assert again is stack and not stack.flags.writeable
+            assert (stack.dtype, stack.shape) == (fresh.dtype, fresh.shape)
+            assert stack.tobytes() == fresh.tobytes()
+            assert outcomes == [o for o, _ in naive_operators(stage, pipeline.space)[1]]
+
+    def test_one_shape_at_two_axes_lifts_twice(self):
+        # Both spaces have dims (2, 2); direction is first in one, last in
+        # the other, so the key must hold the axes as well as the dims.
+        spaces = (hilbert.space_of(hilbert.direction(), hilbert.atom()),
+                  hilbert.space_of(hilbert.atom(), hilbert.direction()))
+        for stage in (unitary_on(comp.beam_splitter()), Detect(),
+                      ProjectiveMeasure("direction", "ww", WW_NAMES)):
+            stacks = [exp._stage_operators(stage, space)[1] for space in spaces]
+            assert stacks[0].tobytes() != stacks[1].tobytes()
+            for space, stack in zip(spaces, stacks):
+                assert stack.tobytes() == fresh_stack(stage, space).tobytes()
+
+    def test_compiles_share_their_layout_and_fixed_stacks(self):
+        text = (EXPERIMENTS_DIR / "baseline.mzx").read_text()
+        first, second = (dsl.compile(dsl.parse_text(text)) for _ in range(2))
+        assert first.space is second.space and first.initial is second.initial
+        assert exp._stage_operators(first.stages[0], first.space)[1] is \
+            exp._stage_operators(second.stages[0], second.space)[1]
+
+    def test_distinct_phases_grow_no_module_container(self):
+        # Each program's phase shifter is its own map, lifted into its own
+        # memo; the shared components keep one entry per (axes, dims).
+        texts = ["source A\nbeamsplitter\nphase B {}\nmirrors\nbeamsplitter\ndetect\n",
+                 "source B\nbeamsplitter\nwwreadout\nphase A {}\nbeamsplitter\ndetect\n",
+                 "source A excited\nbeamsplitter\nentangler\nphase B {}\nmirrors\n"
+                 "beamsplitter\neraser open eta=0.5\ndetect\n"]
+        programs = [texts[k % 3].format(repr(0.001 * k + 0.1)) for k in range(1000)]
+        for text in programs[:3]:
+            run_analytic(dsl.compile(dsl.parse_text(text)))
+        sizes, memo = module_container_sizes(), dict(comp.beam_splitter()._lifted)
+        for text in programs[3:]:
+            run_analytic(dsl.compile(dsl.parse_text(text)))
+        assert module_container_sizes() == sizes
+        assert comp.beam_splitter()._lifted.keys() == memo.keys()
+        for (axes, dims), stack in memo.items():
+            assert stack.shape == (1, math.prod(dims), math.prod(dims))
+            assert comp.beam_splitter()._lifted[axes, dims] is stack
+
+    def test_a_memo_dies_with_its_operator(self):
+        pipeline = dsl.compile(dsl.parse_text(
+            "source A\nbeamsplitter\nphase B 0.3\nmirrors\nbeamsplitter\ndetect\n"))
+        run_analytic(pipeline)
+        phase = pipeline.stages[1].op
+        (stack,) = phase._lifted.values()
+        refs = weakref.ref(phase), weakref.ref(stack)
+        del pipeline, phase, stack   # freed without the cycle collector
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_kraus_cache_keeps_at_most_4_5_mib_of_stacks(self):
+        # Each cached pair holds its (2, 24, 24) stack on the eraser space:
+        # 18 KiB, and 256 of them 4.5 MiB.
+        ast = dsl.parse_text((Path(__file__).parent / "golden" / "eraser_eta.mzx").read_text())
+        for k in range(300):
+            run_analytic(dsl.compile(ast, {"eta": (k + 1) / 300}))
+        pair = comp.eraser_kraus(1.0)
+        stack = pair._lifted[(1, 3), (2, 3, 2, 2)]
+        assert stack.shape == (2, 24, 24) and stack.nbytes == 18 * 2**10
+        info = comp.eraser_kraus.cache_info()
+        assert info.currsize <= info.maxsize == 256
+        assert info.maxsize * stack.nbytes == 4.5 * 2**20
+
+
+@pytest.mark.parametrize("which", MEMO_INPUTS)
+def test_cold_lifts_equal_the_memoized_run(which, monkeypatch):
+    pipeline = memo_pipeline(which)
+    warm = [run_analytic(pipeline) for _ in range(2)][1]
+    sampled = [list(run_sampled(pipeline, 2000, seed).counts.items())
+               for seed in (0, 2**64 - 1)]
+    with monkeypatch.context() as cold:
+        lift_every_stage_fresh(cold)
+        fresh = memo_pipeline(which)   # new phase shifters, with empty memos
+        for p in (pipeline, fresh):
+            dist = run_analytic(p)
+            assert dist.records == warm.records
+            assert dist.probs.tobytes() == warm.probs.tobytes()
+            assert dist.amps.tobytes() == warm.amps.tobytes()
+            assert [list(run_sampled(p, 2000, seed).counts.items())
+                    for seed in (0, 2**64 - 1)] == sampled
+        assert all(not s.op._lifted for s in fresh.stages if isinstance(s, exp.Unitary)
+                   and s.op not in (comp.beam_splitter(), comp.mirror_pair(),
+                                    comp.which_way_entangler()))
 
 
 def test_package_has_no_assert_statements():
