@@ -69,14 +69,16 @@ def mirror_pair() -> LinearMap:
 def phase_shifter(phi: float, path: str = "y") -> LinearMap:
     """Extra path length on one arm: multiplies that arm's amplitude by e^{i phi}.
 
-    `path` is a direction label (x for arm A, y for arm B).
+    `path` is a direction label (x for arm A, y for arm B).  The map is a
+    `LinearMap.diagonal`, checked entry by entry; its entry on `path` is
+    `np.exp(1j * phi)`, as in `phase_shifter_stack`, bit for bit.
     """
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi!r}")
     space = direction_space()
-    diag = np.ones(2, dtype=np.complex128)
+    diag = [1.0, 1.0]
     diag[space.subsystem("direction").label_index(path)] = np.exp(1j * phi)
-    return LinearMap(space, np.diag(diag), unitary=True)
+    return LinearMap.diagonal(space, diag)
 
 
 def phase_shifter_stack(phis: np.ndarray, path: str = "y") -> np.ndarray:

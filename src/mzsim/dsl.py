@@ -1,6 +1,7 @@
 """Plain-text experiment description language.
 
-One directive per line, `#` starts a comment, blank lines are ignored:
+One directive per line (lines end at \\n, \\r\\n or \\r), `#` starts a
+comment, blank lines are ignored:
 
     source A [excited]            initial direction (A = x, B = y)
     beamsplitter                  50/50 beam splitter
@@ -74,15 +75,23 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str) -> list[Token]:
-    """Lex the full source; comments and blank lines produce no tokens."""
+    """Lex the full source; comments and blank lines produce no tokens.
+
+    Lines end at \\n, \\r\\n or \\r, as an editor and Python's
+    universal-newline reading count them.  The other separators that
+    `str.splitlines` knows (form feed, \\x85, \\u2028, ...) end no line: a
+    comment keeps them and elsewhere they are stray characters, so every
+    position names the line a reader sees.
+    """
     tokens: list[Token] = []
-    for line_no, line in enumerate(src.splitlines(), start=1):
+    lines = src.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         pos = 0
         while pos < len(line):
             ch = line[pos]
             if ch == "#":
                 break
-            if ch in " \t\r":
+            if ch in " \t":
                 pos += 1
                 continue
             col = pos + 1

@@ -18,6 +18,13 @@ measurement stages) for any shot count; it orders its histogram by one
 `np.lexsort` over the hit rows' per-level label ranks.  Exact enumeration
 is always the source of truth and sampling is validated against it.
 
+A stage costs what its structure needs.  A projective measurement or the
+detectors select: each amplitude is copied to the outcome its label names,
+by a cached index array per (axis, dims), with no arithmetic.  Unitary and
+Kraus stages are dense matrix products with their lifted stacks, diagonal
+phases included, because the stored outputs pin the bits of those BLAS
+products and an elementwise product rounds differently (see `_branch_tree`).
+
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
 `dsl.sweep_template` returns) runs as a batch: `_branch_tree` walks a forest
 of one root row per grid point, up to SWEEP_CHUNK of them, with its swept
@@ -43,8 +50,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .hilbert import (LinearMap, SpaceSpec, StateVector, SubsystemSpec, check_states,
-                      label_projector, lift)
+from .hilbert import LinearMap, SpaceSpec, StateVector, check_states, lift
 from .components import EraserKrausPair
 
 #: Branches below this probability are dropped from analytic distributions.
@@ -343,34 +349,31 @@ def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> f
 
 def _stage_operators(stage: Stage, space: SpaceSpec, local: Sequence[np.ndarray] | None = None
                      ) -> tuple[list[str | None], np.ndarray]:
-    """Outcome label per branch (None = unitary) and the branches' full-space
-    matrices as one read-only (branches, d, d) stack.
+    """Outcome label per branch (None = unitary) and the branches' read-only
+    full-space operators.
 
-    A compiled stage never changes, so its stack is lifted at most once per
-    (axes, dims): a unitary's or a Kraus pair's into its operator's memo
-    (`_lifted`), a projective measurement's or the detectors' by subsystem
-    (`_projector_stack`).  Shared components are one object per process, so
-    every pipeline and walk that uses them reads the same array.  Given a
-    swept stage's `local` matrices at G grid points (`SweptStage.stack`, in
-    this branch order), the stack is theirs, (G, branches, d, d), lifted
-    anew on every call."""
-    if isinstance(stage, (Unitary, GeneralizedMeasure)):
-        owner, outcomes = ((stage.op, [None]) if isinstance(stage, Unitary) else
-                           (stage.kraus, ["yes", "no"]))
-        axes = tuple(map(space.axis, stage.targets))
-        if local is None:
-            return outcomes, _lift_once(owner, axes, space.dims)
-    elif isinstance(stage, (ProjectiveMeasure, Detect)):
+    A unitary or a Kraus pair gives its (branches, d, d) matrix stack, lifted
+    at most once per (axes, dims) into its operator's memo (`_lifted`);
+    shared components are one object per process, so every pipeline and
+    walk that uses them reads the same array.  Given a swept stage's `local`
+    matrices at G grid points (`SweptStage.stack`, in this branch order), the
+    stack is theirs, (G, branches, d, d), lifted anew on every call.  A
+    projective measurement or the detectors give the (d,) places of the
+    amplitudes among their outcomes instead (`_label_places`)."""
+    if isinstance(stage, (ProjectiveMeasure, Detect)):
         subsystem, names = ((stage.subsystem, stage.outcome_names or {})
                             if isinstance(stage, ProjectiveMeasure) else
                             ("direction", {"x": "X", "y": "Y"}))
-        axes = (space.axis(subsystem),)
-        sub = space.subsystems[axes[0]]
-        outcomes = [names.get(label, label) for label in sub.labels]
-        if local is None:
-            return outcomes, _projector_stack(sub, axes[0], space.dims)
-    else:
+        axis = space.axis(subsystem)
+        outcomes = [names.get(label, label) for label in space.subsystems[axis].labels]
+        return outcomes, _label_places(axis, space.dims)
+    if not isinstance(stage, (Unitary, GeneralizedMeasure)):
         raise TypeError(f"unknown stage {stage!r}")
+    owner, outcomes = ((stage.op, [None]) if isinstance(stage, Unitary) else
+                       (stage.kraus, ["yes", "no"]))
+    axes = tuple(map(space.axis, stage.targets))
+    if local is None:
+        return outcomes, _lift_once(owner, axes, space.dims)
     return outcomes, lift(np.array(local).swapaxes(0, 1), axes, space.dims)
 
 
@@ -389,14 +392,18 @@ def _lift_once(owner: LinearMap | EraserKrausPair, axes: tuple[int, ...],
 
 
 @lru_cache(maxsize=32)
-def _projector_stack(sub: SubsystemSpec, axis: int, dims: tuple[int, ...]) -> np.ndarray:
-    """The read-only (labels, d, d) stack of `sub`'s label projectors, in
-    label order, lifted to axis `axis` of a space of subsystem dimensions
-    `dims`.  The key is the structure, as for `hilbert._lift_plan`; an
-    entry takes 27 KiB or less at d = 24, the largest space `dsl` builds."""
-    stack = lift(np.array([label_projector(sub, label) for label in sub.labels]), (axis,), dims)
-    stack.setflags(write=False)
-    return stack
+def _label_places(axis: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Where a projective measurement of the subsystem at `axis`, in a space
+    of subsystem dimensions `dims`, puts each amplitude: a read-only (d,)
+    array of flat indices into the (labels, d) block of outcome amplitudes.
+    Basis state i, whose label there is l, goes to l * d + i, so row l of
+    the block, zero elsewhere, is the projector onto label l applied to the
+    state.  The key is the structure, as for `hilbert._lift_plan`; an entry
+    takes 192 bytes at d = 24, the largest space `dsl` builds."""
+    d = math.prod(dims)
+    places = np.indices(dims)[axis].ravel() * d + np.arange(d)
+    places.setflags(write=False)
+    return places
 
 
 def _record_key(stage: Stage) -> str | None:
@@ -472,6 +479,15 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     order, depth-first within a point, and each row's arithmetic is that of
     a walk down its own branch at its own point.
 
+    A projective or detector stage selects: each amplitude is copied to the
+    outcome of its label (`_label_places`) and every other entry is +0.0.
+    These are the values of the projector's matrix product, made with no
+    arithmetic, so every nonzero entry is copied bit for bit.  A unitary or
+    Kraus stage stays a dense matrix product, even where its matrix is
+    diagonal: a phase applied as an elementwise product differs from the
+    BLAS product in the last bit (FMA), and the stored outputs pin those
+    bits.
+
     A swept stage comes as (template stage, `SweptStage.stack` at the
     points), lifted as one (points, n, d, d) stack.  Every point keeps a row
     (its weights sum to 1), so while B equals `points` the rows are the
@@ -493,7 +509,12 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
         if key is None:
             amps = np.matmul(mats[..., 0, :, :], amps[..., None])[..., 0]
             continue
-        sub = np.matmul(mats, amps[:, None, :, None])[..., 0]
+        if mats.ndim == 1:   # a projective stage's places: copy, no product
+            sub = np.zeros((len(amps), len(outcomes) * len(mats)), dtype=amps.dtype)
+            sub[:, mats] = amps
+            sub = sub.reshape(len(amps), len(outcomes), len(mats))
+        else:
+            sub = np.matmul(mats, amps[:, None, :, None])[..., 0]
         weights = np.vecdot(sub, sub).real
         rows, outs = np.nonzero(weights > 0.0)
         weight = weights[rows, outs]

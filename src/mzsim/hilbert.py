@@ -7,9 +7,17 @@ the flat amplitude index enumerates subsystem labels in space order with the
 *last* subsystem varying fastest, so a flat vector or matrix reshapes into
 one tensor axis per subsystem.  `lift` uses that to turn an operator on a
 few subsystems into a full-space matrix; `embed` and `projector` are
-validated wrappers around it.  What `lift` needs besides the matrix, its
-index plan, depends only on the shape of the space and the target axes, so
-it is worked out once per (axes, dims) and cached; no matrix content is.
+validated wrappers around it.  It does no arithmetic: op (x) I_rest has
+each entry of op in r places (r the dimension of the other subsystems) and
+zeros elsewhere, so `lift` zero-fills the output and copies op's entries to
+their places.  Every lifted entry is op's bit for bit, signed zeros
+included, and every other entry is +0.0.  Those places, its index plan,
+depend only on the shape of the space and the target axes, so they are
+worked out once per (axes, dims) and cached; no matrix content is.
+
+A unitary diagonal map, a phase shifter or the identity, is built by
+`LinearMap.diagonal`, which checks its d entries for finiteness and
+|z|^2 = 1 in O(d) where the general constructor forms M†M.
 
 The one mutable part is a memo: a `LinearMap`'s `_lifted` dict (and a
 `components.EraserKrausPair`'s) holds the read-only stacks that
@@ -244,8 +252,9 @@ class LinearMap:
     """Dense square matrix over a SpaceSpec, optionally flagged unitary.
 
     The unitary flag is *checked* at construction: max|M†M - I| must not
-    exceed ATOL_UNITARY.  `_lifted` is the memo of full-space stacks
-    described in the module docstring.
+    exceed ATOL_UNITARY (`diagonal` checks a diagonal map in O(d)).
+    `_lifted` is the memo of full-space stacks described in the module
+    docstring.
     """
 
     space: SpaceSpec
@@ -267,6 +276,32 @@ class LinearMap:
                 raise ValueError(f"matrix flagged unitary but max|M†M-I| = {defect:.3e}")
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def diagonal(cls, space: SpaceSpec, entries: Sequence[complex] | np.ndarray
+                 ) -> "LinearMap":
+        """The unitary map with these diagonal entries and zeros elsewhere.
+
+        It is checked in O(d), not by M†M: every entry must be finite and
+        within ATOL_UNITARY of the unit circle in |z|^2 (the diagonal of
+        M†M - I), and there must be one entry per basis state.
+        """
+        diag = np.array(entries, dtype=np.complex128)
+        if diag.shape != (space.dim,):
+            raise ValueError(f"diagonal shape {diag.shape} != ({space.dim},)")
+        if not np.isfinite(diag).all():
+            raise ValueError("non-finite entries in matrix")
+        defect = max(abs(z.real * z.real + z.imag * z.imag - 1.0) for z in diag.tolist())
+        if defect > ATOL_UNITARY:
+            raise ValueError(f"diagonal flagged unitary but max||z|^2-1| = {defect:.3e}")
+        mat = np.diag(diag)
+        mat.setflags(write=False)
+        # Every field as __init__ sets it, without __post_init__'s M†M.
+        out = object.__new__(cls)
+        for name, value in (("space", space), ("matrix", mat), ("unitary", True),
+                            ("_lifted", {})):
+            object.__setattr__(out, name, value)
+        return out
+
     @property
     def dagger(self) -> "LinearMap":
         return LinearMap(self.space, self.matrix.conj().T, unitary=self.unitary)
@@ -279,7 +314,7 @@ class LinearMap:
 
 
 def identity(space: SpaceSpec) -> LinearMap:
-    return LinearMap(space, np.eye(space.dim), unitary=True)
+    return LinearMap.diagonal(space, np.ones(space.dim))
 
 
 def kron(a: LinearMap, b: LinearMap) -> LinearMap:
@@ -290,22 +325,23 @@ def kron(a: LinearMap, b: LinearMap) -> LinearMap:
 
 
 @lru_cache(maxsize=256)
-def _lift_plan(axes: tuple[int, ...], dims: tuple[int, ...]
-               ) -> tuple[tuple[int, ...], tuple[int, ...], int, np.ndarray]:
-    """`lift`'s index plan for one shape: the tensor shape of op (x) I_rest,
-    rows then columns, with the targets first and the other subsystems
-    after them; the permutation that moves every axis back to its place in
-    the space, as negative axes so that it holds under any batch; the
-    space's dimension; and the read-only (r, 1, r) identity on the rest."""
-    rest = [k for k in range(len(dims)) if k not in axes]
-    order = [*axes, *rest]
-    shape = tuple(dims[k] for k in order)
-    where = [order.index(k) for k in range(len(dims))]
-    n = len(dims)
-    perm = (*(k - 2 * n for k in where), *(k - n for k in where))
-    eye = np.eye(math.prod(dims[k] for k in rest))[:, None, :]
-    eye.setflags(write=False)
-    return shape + shape, perm, math.prod(dims), eye
+def _lift_plan(axes: tuple[int, ...], dims: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """`lift`'s index plan for one shape: where the entries of op (x) I_rest
+    that the structure lets be nonzero sit, and the space's dimension d.
+
+    The plan is a read-only (r, k*k) array of flat indices into the (d, d)
+    output, for r = d / k: row j holds, in the local matrix's row-major
+    order, the places of op's k*k entries in the block where the other
+    subsystems have joint index j.  An entry takes r*k*k*8 bytes, at most
+    8 MiB (k = d = MAX_TOTAL_DIM)."""
+    d, k = math.prod(dims), math.prod(dims[axis] for axis in axes)
+    rest = [axis for axis in range(len(dims)) if axis not in axes]
+    # index[j, a]: the basis state whose other subsystems have joint index j
+    # and whose targets have joint index a.
+    index = np.arange(d).reshape(dims).transpose(rest + list(axes)).reshape(d // k, k)
+    places = (index[:, :, None] * d + index[:, None, :]).reshape(d // k, k * k)
+    places.setflags(write=False)
+    return places, d
 
 
 def lift(matrix: np.ndarray, axes: Sequence[int], dims: Sequence[int]) -> np.ndarray:
@@ -314,15 +350,19 @@ def lift(matrix: np.ndarray, axes: Sequence[int], dims: Sequence[int]) -> np.nda
 
     `dims` are the subsystem dimensions of the full space and the last two
     axes of `matrix` are square over the product of `dims[axes]`; leading
-    axes are a batch, lifted matrix by matrix.  The index plan is cached by
-    (axes, dims) alone, and every call returns a new array.  Nothing is
-    validated; `embed` and `projector` are the checked entry points.
+    axes are a batch, lifted matrix by matrix.  No arithmetic is done: the
+    output is zero-filled and each local entry is copied to its places, so a
+    lifted entry is the local entry bit for bit (signed zeros included) and
+    every other entry is +0.0.  The dtype is that of `matrix` promoted with
+    float64.  The index plan is cached by (axes, dims) alone, and every call
+    returns a new array.  Nothing is validated; `embed` and `projector` are
+    the checked entry points.
     """
-    shape, perm, d, eye = _lift_plan(tuple(axes), tuple(dims))
+    places, d = _lift_plan(tuple(axes), tuple(dims))
     batch = matrix.shape[:-2]
-    block = matrix[..., :, None, :, None] * eye
-    return (block.reshape(batch + shape).transpose((*range(len(batch)), *perm))
-            .reshape(batch + (d, d)))
+    out = np.zeros(batch + (d * d,), dtype=np.result_type(matrix.dtype, np.float64))
+    out[..., places] = matrix.reshape(batch + (1, places.shape[1]))
+    return out.reshape(batch + (d, d))
 
 
 def label_projector(sub: SubsystemSpec, label: str) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsim import components as comp
 from mzsim import hilbert
@@ -123,6 +125,19 @@ class TestPhaseShifter:
     def test_non_finite_phase_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             comp.phase_shifter(math.inf)
+
+    def test_unknown_path_rejected(self):
+        with pytest.raises(KeyError):
+            comp.phase_shifter(0.3, "z")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, -0.0, 1e6, -1e6, math.pi, -math.pi, 5e-324]),
+                     st.floats(-1e6, 1e6)),
+           st.sampled_from(["x", "y"]))
+    def test_matrix_is_the_stack_entry_bit_for_bit(self, phi, path):
+        op = comp.phase_shifter(phi, path)
+        assert op.unitary and not op.matrix.flags.writeable
+        assert op.matrix.tobytes() == comp.phase_shifter_stack([phi], path)[0].tobytes()
 
 
 class TestWhichWayEntangler:

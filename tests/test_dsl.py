@@ -1,9 +1,13 @@
+import contextlib
+import io
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzsim import dsl, experiment as exp
+from mzsim import cli, dsl, experiment as exp
 from mzsim.dsl import ParseError, parse, parse_text, pretty_print, tokenize
 
 EXPERIMENT_DIR = Path(__file__).resolve().parent.parent / "experiments"
@@ -73,6 +77,18 @@ class TestTokenize:
     def test_identifier_with_underscore(self):
         toks = tokenize("phase B my_angle")
         assert toks[-1].kind == "ident" and toks[-1].text == "my_angle"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_universal_newlines_only(self, end):
+        toks = tokenize(end.join(["# a\x0bcomment\x85(kept", "source A", "", "detect"]))
+        assert [(t.text, t.line, t.col) for t in toks] == \
+            [("source", 2, 1), ("A", 2, 8), ("detect", 4, 1)]
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_other_line_separators_are_stray(self, separator):
+        with pytest.raises(ParseError) as err:
+            tokenize(f"source A\nbeamsplitter{separator}detect\n")
+        assert (err.value.category, err.value.line, err.value.col) == ("lexical", 2, 13)
 
 
 class TestParse:
@@ -223,3 +239,64 @@ class TestCompile:
         problems = dsl.validate(parse(tokenize(src)))
         assert len(problems) >= 3
         assert all(isinstance(p, ParseError) for p in problems)
+
+
+#: Characters a mutation inserts: the grammar's own, line and space
+#: characters Python's `str.splitlines` treats as line breaks, and any
+#: other code point but a surrogate.
+MUTATION_CHARS = st.one_of(
+    st.sampled_from(list("sourcebeamsplitterphasewwreadoutentanglerdetectABxyz"
+                         "0123456789.-+eE=_#pi \t\n\r") +
+                    ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\x00", "π", "٣"]),
+    st.characters(exclude_categories=("Cs",)))
+
+
+@st.composite
+def mutants(draw):
+    """A shipped file with a few characters inserted, deleted or replaced."""
+    text = draw(st.sampled_from(CORPUS_FILES)).read_text()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if how == "insert":
+            text = text[:at] + draw(MUTATION_CHARS) + text[at:]
+        elif how == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(MUTATION_CHARS) + text[at + 1:]
+    return text
+
+
+def text_lines(text):
+    """The lines of `text` as an editor or Python's universal-newline
+    reading counts them: ended by \\n, \\r\\n or \\r."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutants())
+def test_mutated_files_parse_or_raise_a_placed_parse_error(text):
+    # Stricter than 1 <= line <= lines + 1: the place is inside the text,
+    # at most one column past the end of its line.
+    lines = text_lines(text)
+    try:
+        parse_text(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= len(lines), (exc.line, len(lines))
+        assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, (exc.line, exc.col)
+
+
+def test_mzx_validate_exits_0_or_1_on_mutated_files(tmp_path):
+    path = tmp_path / "mutant.mzx"
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutants())
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["validate", str(path)])
+        assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    check()

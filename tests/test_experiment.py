@@ -734,30 +734,63 @@ def memo_pipeline(which):
     return dsl.compile(dsl.parse_text(generated_program(which)))
 
 
-MEMO_INPUTS = [pytest.param(path, id=path.name) for path in EXPERIMENTS] + \
+MEMO_INPUTS = [pytest.param(path, id=path.name) for path in (*EXPERIMENTS, READOUT_TREE)] + \
     [pytest.param(seed, id=f"generated-{seed}") for seed in GENERATED]
 
 
+def dense_projectors(axis, dims):
+    """The (labels, d, d) stack of the label projectors of the subsystem at
+    `axis`, lifted to a space of subsystem dimensions `dims`: the operators
+    a projective stage was applied by, as dense matrix products, before it
+    copied each amplitude to its outcome."""
+    sub = hilbert.SubsystemSpec("measured", tuple(map(str, range(dims[axis]))))
+    mats = np.array([hilbert.label_projector(sub, label) for label in sub.labels])
+    return hilbert.lift(mats, (axis,), dims)
+
+
 def fresh_stack(stage, space):
-    """A new lift of a stage's matrices, as `_stage_operators` lists them."""
+    """A new lift of a stage's matrices, as `_stage_operators` lists them; a
+    projective or detector stage's label projectors."""
     if isinstance(stage, exp.Unitary):
         targets, mats = stage.targets, stage.op.matrix[None]
     elif isinstance(stage, GeneralizedMeasure):
         targets = stage.targets
         mats = np.array([stage.kraus.k_abs.matrix, stage.kraus.k_noabs.matrix])
     else:
-        targets = (stage.subsystem if isinstance(stage, ProjectiveMeasure) else "direction",)
-        sub = space.subsystem(targets[0])
-        mats = np.array([hilbert.label_projector(sub, label) for label in sub.labels])
+        subsystem = stage.subsystem if isinstance(stage, ProjectiveMeasure) else "direction"
+        return dense_projectors(space.axis(subsystem), space.dims)
     return hilbert.lift(mats, [space.axis(t) for t in targets], space.dims)
 
 
+def assert_fresh_operators(stage, space, ops):
+    """`ops`, a stage's operators from `_stage_operators`, are read-only and
+    equal a new lift: a matrix stack byte for byte, or, for a projective or
+    detector stage, places of the amplitudes among the outcomes that mark
+    the diagonals of the lifted label projectors, whose off-diagonal entries
+    are all zero: each basis state is placed once, in the row of its label."""
+    fresh = fresh_stack(stage, space)
+    assert not ops.flags.writeable
+    if isinstance(stage, (ProjectiveMeasure, Detect)):
+        diagonal = np.eye(space.dim, dtype=bool)
+        assert not np.any(fresh[:, ~diagonal])
+        assert ops.dtype == np.intp and ops.shape == (space.dim,)
+        assert np.array_equal(ops % space.dim, np.arange(space.dim))
+        placed = np.zeros(fresh.shape[:2], dtype=complex)
+        placed.flat[ops] = 1.0
+        assert placed.tobytes() == fresh[:, diagonal].tobytes()
+    else:
+        assert (ops.dtype, ops.shape) == (fresh.dtype, fresh.shape)
+        assert ops.tobytes() == fresh.tobytes()
+
+
 def lift_every_stage_fresh(monkeypatch):
-    """Replace the memo lookups of `_stage_operators` by new lifts."""
+    """Replace the memo lookups of `_stage_operators` by new lifts, and a
+    projective stage's places by its dense projector stack, which the walk
+    then applies by matrix product."""
     monkeypatch.setattr(exp, "_lift_once", lambda owner, axes, dims: hilbert.lift(
         owner.matrix[None] if isinstance(owner, hilbert.LinearMap) else
         np.array([owner.k_abs.matrix, owner.k_noabs.matrix]), axes, dims))
-    monkeypatch.setattr(exp, "_projector_stack", exp._projector_stack.__wrapped__)
+    monkeypatch.setattr(exp, "_label_places", dense_projectors)
 
 
 def module_container_sizes():
@@ -778,11 +811,8 @@ class TestLiftMemo:
         pipeline = memo_pipeline(which)
         for stage in pipeline.stages:
             outcomes, stack = exp._stage_operators(stage, pipeline.space)
-            again = exp._stage_operators(stage, pipeline.space)[1]
-            fresh = fresh_stack(stage, pipeline.space)
-            assert again is stack and not stack.flags.writeable
-            assert (stack.dtype, stack.shape) == (fresh.dtype, fresh.shape)
-            assert stack.tobytes() == fresh.tobytes()
+            assert exp._stage_operators(stage, pipeline.space)[1] is stack
+            assert_fresh_operators(stage, pipeline.space, stack)
             assert outcomes == [o for o, _ in naive_operators(stage, pipeline.space)[1]]
 
     def test_one_shape_at_two_axes_lifts_twice(self):
@@ -795,14 +825,25 @@ class TestLiftMemo:
             stacks = [exp._stage_operators(stage, space)[1] for space in spaces]
             assert stacks[0].tobytes() != stacks[1].tobytes()
             for space, stack in zip(spaces, stacks):
-                assert stack.tobytes() == fresh_stack(stage, space).tobytes()
+                assert_fresh_operators(stage, space, stack)
 
     def test_compiles_share_their_layout_and_fixed_stacks(self):
         text = (EXPERIMENTS_DIR / "baseline.mzx").read_text()
         first, second = (dsl.compile(dsl.parse_text(text)) for _ in range(2))
         assert first.space is second.space and first.initial is second.initial
-        assert exp._stage_operators(first.stages[0], first.space)[1] is \
-            exp._stage_operators(second.stages[0], second.space)[1]
+        for index in (0, -1):   # the beam splitter's stack, the detectors' places
+            assert exp._stage_operators(first.stages[index], first.space)[1] is \
+                exp._stage_operators(second.stages[index], second.space)[1]
+
+    def test_label_places_are_shared_across_pipelines(self):
+        # Every projective stage on one (axis, dims) reads one array: the
+        # which-way readouts and the detectors of different programs.
+        pipelines = [dsl.compile(dsl.parse_text(text)) for text in (
+            READOUT_TREE.read_text(), (EXPERIMENTS_DIR / "whichway_readout.mzx").read_text(),
+            "source B\nwwreadout\nbeamsplitter\ndetect\n")]
+        places = {id(exp._stage_operators(stage, p.space)[1]) for p in pipelines
+                  for stage in p.stages if isinstance(stage, (ProjectiveMeasure, Detect))}
+        assert len(places) == 1
 
     def test_distinct_phases_grow_no_module_container(self):
         # Each program's phase shifter is its own map, lifted into its own

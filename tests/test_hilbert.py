@@ -150,6 +150,54 @@ class TestConstruction:
             psi.amps[0] = 5.0
 
 
+class TestDiagonal:
+    @pytest.mark.parametrize("entries", [
+        [1.0, 1.0], [1j, -1.0], [np.exp(0.3j), np.exp(-2.1j)], [-0.0 - 1j, 1.0 + 1e-11],
+        [complex(0.6, -0.8), complex(-0.8, -0.6)]])
+    def test_equals_the_dense_checked_map(self, entries):
+        op = LinearMap.diagonal(space_of(AB), entries)
+        dense = LinearMap(space_of(AB), np.diag(np.array(entries, dtype=complex)), unitary=True)
+        assert op.unitary and op.space == space_of(AB) and op._lifted == {}
+        assert op.matrix.dtype == np.complex128 and not op.matrix.flags.writeable
+        assert op.matrix.tobytes() == dense.matrix.tobytes()
+
+    def test_copies_its_entries(self):
+        entries = np.array([1.0, 1j])
+        op = LinearMap.diagonal(space_of(AB), entries)
+        entries[0] = -1.0
+        assert op.matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                     complex(np.inf, 0.0)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearMap.diagonal(space_of(AB), [1.0, bad])
+
+    @pytest.mark.parametrize("entry", [1.0 + 1e-10, 1j * (1.0 - 1e-10), 2.0, 0.0, 0.5j])
+    def test_rejects_entries_off_the_unit_circle(self, entry):
+        # |z|^2 - 1 is about 2e-10 at the first two: beyond ATOL_UNITARY.
+        assert abs(abs(entry) ** 2 - 1.0) > hilbert.ATOL_UNITARY
+        with pytest.raises(ValueError, match="unitary"):
+            LinearMap.diagonal(space_of(AB), [1.0, entry])
+        with pytest.raises(ValueError, match="unitary"):
+            LinearMap(space_of(AB), np.diag([1.0, entry]), unitary=True)
+
+    def test_accepts_entries_within_the_tolerance(self):
+        entry = 1.0 + 0.4 * hilbert.ATOL_UNITARY   # |z|^2 - 1 = 0.8 ATOL_UNITARY
+        assert LinearMap.diagonal(space_of(AB), [entry, -1.0]).matrix[0, 0] == entry
+
+    @pytest.mark.parametrize("entries", [[1.0], [1.0, 1.0, 1.0], [], [[1.0, 1.0]]])
+    def test_rejects_a_wrong_length(self, entries):
+        with pytest.raises(ValueError, match="shape"):
+            LinearMap.diagonal(space_of(AB), entries)
+
+    def test_identity_at_the_cap(self):
+        big = SubsystemSpec("big", tuple(f"l{i}" for i in range(hilbert.MAX_TOTAL_DIM)))
+        op = identity(space_of(big))
+        assert op.unitary and not op.matrix.flags.writeable
+        assert op.matrix.tobytes() == np.eye(hilbert.MAX_TOTAL_DIM, dtype=complex).tobytes()
+
+
 class TestKron:
     def test_identity_times_identity(self):
         result = kron(identity(space_of(AB)), identity(space_of(PQR)))
@@ -202,6 +250,37 @@ def assert_fresh(first, relift):
     assert np.array_equal(relift(), expected)
 
 
+def signed_zero_stack(rng, batch, k):
+    """Random complex (batch..., k, k) matrices in which about a third of the
+    entries have a zero part of either sign, or are zero outright."""
+    mats = rng.normal(size=batch + (k, k)) + 1j * rng.normal(size=batch + (k, k))
+    zeros = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+    which = rng.integers(0, 9, size=mats.shape)
+    mats = np.where(which < 3, zeros[which % 3], mats)
+    mats.real[which == 3] = -0.0
+    mats.imag[which == 4] = -0.0
+    return mats
+
+
+def assert_copied(local, axes, dims, got):
+    """`got` is `local` (x) I_rest with no arithmetic: where the other
+    subsystems' labels agree, the local entry bit for bit; everywhere else
+    +0.0 in both parts.  The places come from the mixed-radix digits of each
+    basis index, not from `lift`'s plan."""
+    d = int(np.prod(dims))
+    digits = np.unravel_index(np.arange(d), dims)
+    at = np.ravel_multi_index([digits[a] for a in axes], [dims[a] for a in axes])
+    same_rest = np.ones((d, d), dtype=bool)
+    for a in set(range(len(dims))) - set(axes):
+        same_rest &= digits[a][:, None] == digits[a][None, :]
+    want = np.where(same_rest, local[..., at[:, None], at[None, :]], 0.0)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+    off = got[..., ~same_rest]
+    assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+    assert not np.any(off)
+
+
 class TestLift:
     @pytest.mark.parametrize("targets", [
         targets for k in (1, 2, 3)
@@ -232,6 +311,40 @@ class TestLift:
             assert np.array_equal(lifted, lift(mat, axes, space.dims))
         assert_fresh(got, lambda: lift(stack, axes, space.dims))
         assert hilbert._lift_plan.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3), (0,)])
+    @pytest.mark.parametrize("targets", [
+        targets for k in (1, 2, 3)
+        for targets in itertools.permutations(["left", "mid", "right"], k)])
+    def test_entries_are_copied_bit_for_bit(self, targets, batch):
+        rng = np.random.default_rng(20 + len(targets) + len(batch))
+        space = space_of(AB, PQR, UV)
+        axes = [space.axis(t) for t in targets]
+        local = signed_zero_stack(rng, batch, space.restricted(targets).dim)
+        assert not local.size or (np.signbit(local.real).any() and
+                                  np.signbit(local.imag).any())
+        assert_copied(local, axes, space.dims, lift(local, axes, space.dims))
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (2,), (3,), (3, 1), (0, 2), (0, 1, 2),
+                                      (2, 3, 0, 1)])
+    def test_a_batch_of_64_at_d_24(self, axes):
+        dims = (2, 3, 2, 2)   # the eraser space
+        rng = np.random.default_rng(sum(axes) + len(axes))
+        local = signed_zero_stack(rng, (64,), int(np.prod([dims[a] for a in axes])))
+        got = lift(local, axes, dims)
+        assert got.shape == (64, 24, 24)
+        assert_copied(local, axes, dims, got)
+        assert_fresh(got, lambda: lift(local, axes, dims))
+
+    @pytest.mark.parametrize("dims,axes", [((512, 2), (1,)), ((2, 512), (0,)),
+                                           ((512, 2), (0,))])
+    def test_at_the_cap(self, dims, axes):
+        # A batch of two: 32 MiB out, where 64 would take 1 GiB.
+        rng = np.random.default_rng(len(axes) + dims[0])
+        local = signed_zero_stack(rng, (2,), dims[axes[0]])
+        got = lift(local, axes, dims)
+        assert got.shape == (2, hilbert.MAX_TOTAL_DIM, hilbert.MAX_TOTAL_DIM)
+        assert_copied(local, axes, dims, got)
 
 
 class TestEmbed:
