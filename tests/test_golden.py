@@ -28,6 +28,8 @@ FORMATS = ("table", "csv", "json")
 FILES = sorted(p.name for p in (ROOT / "experiments").glob("*.mzx"))
 ERASER_FILES = [f for f in FILES if f.startswith("eraser")]
 PHASE_FILES = [f for f in FILES if f.endswith("_phase.mzx")]
+#: The eraser files that run without a parameter.
+ERASER_RUN_FILES = [f for f in ERASER_FILES if f not in PHASE_FILES]
 SWEEP = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "16"]
 SWEEP_64 = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "64"]
 #: Kept beside the golden file so that no benchmark input changes with them.
@@ -45,6 +47,10 @@ def commands() -> list[list[str]]:
         for name in ERASER_FILES:
             out.append(["run", f"experiments/{name}", "--format", fmt,
                         "--given", "abs=yes"])
+        # Sampled conditionals; eraser_closed never absorbs, so it exits 3.
+        for name in ERASER_RUN_FILES:
+            out.append(["run", f"experiments/{name}", "--format", fmt,
+                        "--shots", "20000", "--seed", "3", "--given", "abs=yes"])
         for name in PHASE_FILES:
             out.append(["sweep", f"experiments/{name}", *SWEEP, "--format", fmt])
         for given in ("abs=yes", "abs=no"):
@@ -66,6 +72,9 @@ def commands() -> list[list[str]]:
                 "--seed", "5", "--format", "json"])
     out.append(["run", "experiments/eraser_eta_half.mzx", "--shots", "100003",
                 "--seed", "18446744073709551615", "--format", "json", "--given", "abs=yes"])
+    # A sampled conditional whose quotient is not 0 or 1.
+    out.append(["run", "experiments/eraser_eta_half.mzx", "--format", "json",
+                "--shots", "20000", "--seed", "3", "--given", "abs=no"])
     out.append(["run", TREE_FILE, "--format", "table"])
     out.append(["run", TREE_FILE, "--format", "table", "--shots", "70001", "--seed", "9"])
     return out

@@ -7,6 +7,8 @@ value and type for type, and raise the same errors.
 
 import math
 import tracemalloc
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -227,3 +229,44 @@ def test_long_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert abs(result.visibility - 1.0) <= 1e-12
     assert peak < 64 * 2**20
+
+
+def loop_total(probs):
+    """The left-to-right sum of `probs` from 0.0."""
+    return reduce(add, probs, 0.0)
+
+
+def loop_marginal(dist, of):
+    """`marginal` as a left-to-right loop over the leaves: the reference
+    for its `np.bincount` sums."""
+    return loop_total(prob for record, prob in zip(dist.records, dist.probs.tolist())
+                      if of(dict(record)))
+
+
+def loop_conditional(dist, given, of):
+    """`conditional` as a left-to-right loop over the leaves."""
+    in_given = [(outcomes, prob) for outcomes, prob
+                in zip(map(dict, dist.records), dist.probs.tolist()) if given(outcomes)]
+    p_given = loop_total(prob for _, prob in in_given)
+    if p_given == 0.0:
+        raise exp.ZeroProbabilityEventError("conditioning event has zero probability")
+    return loop_total(prob for outcomes, prob in in_given if of(outcomes)) / p_given
+
+
+def hex_or_error(function, *args):
+    try:
+        return function(*args).hex()
+    except exp.ZeroProbabilityEventError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(templates(), st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 1.0)),
+       st.sampled_from(GIVENS))
+def test_marginal_and_conditional_equal_the_loop(text, value, condition):
+    dist = exp.run_analytic(dsl.compile(dsl.parse_text(text), {"p": value}))
+    condition = matches(**condition) if condition else matches()
+    for of in (matches(detector="X"), matches(detector="Y"), condition):
+        assert exp.marginal(dist, of).hex() == loop_marginal(dist, of).hex()
+        assert (hex_or_error(exp.conditional, dist, condition, of)
+                == hex_or_error(loop_conditional, dist, condition, of))
