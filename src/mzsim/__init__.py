@@ -9,19 +9,14 @@ from .hilbert import (
     SubsystemSpec,
     apply,
     embed,
-    equal_up_to_global_phase,
-    identity,
     inner,
-    kron,
     projector,
     space_of,
 )
 from .components import (
     EraserKrausPair,
     beam_splitter,
-    detector_projectors,
     eraser_kraus,
-    interferometer,
     mirror_pair,
     phase_shifter,
     which_way_entangler,

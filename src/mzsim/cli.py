@@ -32,6 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import dsl, experiment, rng
 
@@ -68,12 +69,21 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _read_file(path: str) -> bytes:
+def _read_source(path: str) -> tuple[bytes, str]:
+    """The bytes of the file at `path` and their UTF-8 text."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            raw = fh.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return raw, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_IO, f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _diagnostic(path: str, exc: dsl.ParseError) -> str:
+    return f"{path}:{exc.line}:{exc.col}: {exc.category} error: {exc.message}"
 
 
 def _parse_given(text: str | None) -> dict[str, str]:
@@ -118,17 +128,11 @@ def _resolve_seed(flag: int | None) -> int:
 
 
 def _load(path: str) -> tuple[dsl.ExperimentAst, str]:
-    raw = _read_file(path)
-    try:
-        src = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(EXIT_IO, f"{path} is not UTF-8 text: {exc}") from None
+    raw, src = _read_source(path)
     try:
         ast = dsl.parse_text(src)
     except dsl.ParseError as exc:
-        raise CliError(EXIT_INVALID,
-                       f"{path}:{exc.line}:{exc.col}: {exc.category} error: {exc.message}"
-                       ) from None
+        raise CliError(EXIT_INVALID, _diagnostic(path, exc)) from None
     return ast, hashlib.sha256(raw).hexdigest()
 
 
@@ -149,38 +153,22 @@ class RunReport:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _conditional_rows(dist: experiment.OutcomeDistribution,
-                      given: dict[str, str]) -> list[dict]:
-    rows = []
+def _conditional_rows(records: Sequence[experiment.Record], weights: Sequence[float],
+                      given: dict[str, str], message: str) -> list[dict]:
+    """P(detector=X | given) and P(detector=Y | given) from the leaves'
+    probabilities or the histogram's counts (exact as floats below 2**53,
+    so each quotient is the correctly rounded count ratio); `message` is
+    the error when the given event has weight zero."""
     if not given:
-        return rows
-    try:
-        for outcome in ("X", "Y"):
-            value = experiment.conditional(dist, experiment.matches(**given),
-                                           experiment.matches(detector=outcome))
-            rows.append({"query": f"detector={outcome}|{_given_label(given)}",
-                         "value": value})
-    except experiment.ZeroProbabilityEventError as exc:
-        raise CliError(EXIT_ZERO_CONDITION, str(exc)) from None
-    return rows
-
-
-def _empirical_conditional_rows(hist: experiment.ShotHistogram,
-                                given: dict[str, str]) -> list[dict]:
-    rows = []
-    if not given:
-        return rows
-    def count(pairs):
-        pred = experiment.matches(**pairs)
-        return sum(n for record, n in hist.counts.items() if pred(dict(record)))
-    base = count(given)
-    if base == 0:
-        raise CliError(EXIT_ZERO_CONDITION, "conditioning event never occurred")
-    for outcome in ("X", "Y"):
-        joint = count({**given, "detector": outcome})
-        rows.append({"query": f"detector={outcome}|{_given_label(given)}",
-                     "value": joint / base})
-    return rows
+        return []
+    pred = experiment.matches(**given)
+    base, *joints = experiment._leaf_sums(
+        records, weights, [(pred,)] + [(pred, experiment.matches(detector=outcome))
+                                       for outcome in ("X", "Y")]).ravel().tolist()
+    if base == 0.0:
+        raise CliError(EXIT_ZERO_CONDITION, message)
+    return [{"query": f"detector={outcome}|{_given_label(given)}", "value": joint / base}
+            for outcome, joint in zip(("X", "Y"), joints)]
 
 
 def cmd_run(args) -> int:
@@ -195,10 +183,11 @@ def cmd_run(args) -> int:
     if args.shots is None:
         dist = experiment.run_analytic(pipeline)
         meta.update(mode="analytic", seed=None, shots=None,
-                    prune_threshold=dist.prune_threshold)
+                    prune_threshold=experiment.PRUNE_PROB)
         branches = [{"record": dict(record), "probability": prob}
                     for record, prob in zip(dist.records, dist.probs.tolist())]
-        conditionals = _conditional_rows(dist, given)
+        conditionals = _conditional_rows(dist.records, dist.probs, given,
+                                         "conditioning event has zero probability")
     else:
         if args.shots < 1:
             raise CliError(EXIT_INVALID, "--shots must be at least 1")
@@ -208,7 +197,8 @@ def cmd_run(args) -> int:
         branches = [{"record": dict(record), "count": n,
                      "frequency": n / hist.shots}
                     for record, n in hist.counts.items()]
-        conditionals = _empirical_conditional_rows(hist, given)
+        conditionals = _conditional_rows(list(hist.counts), list(hist.counts.values()), given,
+                                         "conditioning event never occurred")
 
     report = RunReport(meta, branches, conditionals)
     _emit_run(report, args.format)
@@ -311,22 +301,14 @@ def _emit_sweep(report: RunReport, fmt: str, conditioned: bool):
 
 
 def cmd_validate(args) -> int:
-    raw = _read_file(args.file)
+    _, src = _read_source(args.file)
     try:
-        src = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(EXIT_IO, f"{args.file} is not UTF-8 text: {exc}") from None
-    try:
-        ast = dsl.parse(dsl.tokenize(src))
+        problems = dsl.validate(dsl.parse(dsl.tokenize(src)))
     except dsl.ParseError as exc:
-        sys.stderr.write(f"{args.file}:{exc.line}:{exc.col}: "
-                         f"{exc.category} error: {exc.message}\n")
-        return EXIT_INVALID
-    problems = dsl.validate(ast)
+        problems = [exc]
     if problems:
         for exc in problems:
-            sys.stderr.write(f"{args.file}:{exc.line}:{exc.col}: "
-                             f"{exc.category} error: {exc.message}\n")
+            sys.stderr.write(_diagnostic(args.file, exc) + "\n")
         return EXIT_INVALID
     sys.stdout.write("OK\n")
     return EXIT_OK

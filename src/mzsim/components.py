@@ -156,7 +156,6 @@ class EraserKrausPair:
     k_abs: LinearMap
     k_noabs: LinearMap
     eta: float
-    mode: str = field(default="symmetric")
     _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -172,15 +171,14 @@ class EraserKrausPair:
 
 
 @lru_cache(maxsize=256)
-def eraser_kraus(eta: float, mode: str = "symmetric") -> EraserKrausPair:
+def eraser_kraus(eta: float) -> EraserKrausPair:
     """Probabilistic absorption of the which-way photon by the eraser atom.
 
-    The absorber couples to a single photon mode: by default the symmetric
-    combination (|A> + |B>)/sqrt(2) (mode="antisymmetric" couples
-    (|A> - |B>)/sqrt(2) instead, for exploration).  `eta` in (0, 1] scales
-    the absorption probability and stands in for the cross-section of the
-    absorption process; certain absorption of an arbitrary photon state
-    would not be a physical (trace-preserving) operation.
+    The absorber couples to a single photon mode, the symmetric combination
+    (|A> + |B>)/sqrt(2).  `eta` in (0, 1] scales the absorption probability
+    and stands in for the cross-section of the absorption process; certain
+    absorption of an arbitrary photon state would not be a physical
+    (trace-preserving) operation.
 
         k_abs   = sqrt(eta) |vac, epsilon><coupled mode, gamma|
         k_noabs = I - (1 - sqrt(1 - eta)) |coupled mode, gamma><...|
@@ -194,42 +192,18 @@ def eraser_kraus(eta: float, mode: str = "symmetric") -> EraserKrausPair:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    if mode not in ("symmetric", "antisymmetric"):
-        raise ValueError(f"unknown coupling mode {mode!r}")
     space = space_of(hilbert.photon(), hilbert.eraser())
-    sign = 1.0 if mode == "symmetric" else -1.0
 
     coupled = np.zeros(space.dim, dtype=np.complex128)
     coupled[space.index_of(("A", "gamma"))] = SQRT_HALF
-    coupled[space.index_of(("B", "gamma"))] = sign * SQRT_HALF
+    coupled[space.index_of(("B", "gamma"))] = SQRT_HALF
     sink = np.zeros(space.dim, dtype=np.complex128)
     sink[space.index_of(("vac", "epsilon"))] = 1.0
 
     k_abs = math.sqrt(eta) * np.outer(sink, coupled.conj())
     k_noabs = np.eye(space.dim) - (1.0 - math.sqrt(1.0 - eta)) * \
         np.outer(coupled, coupled.conj())
-    return EraserKrausPair(LinearMap(space, k_abs), LinearMap(space, k_noabs),
-                           eta=eta, mode=mode)
-
-
-def detector_projectors(space: SpaceSpec) -> tuple[LinearMap, LinearMap]:
-    """Exit detectors: projectors onto direction x (D_X) and y (D_Y)."""
-    if "direction" not in space.names:
-        raise hilbert.SpaceMismatchError("space has no direction subsystem to detect")
-    return (projector(space, "direction", "x"),
-            projector(space, "direction", "y"))
-
-
-def interferometer(phi: float | None = None, path: str = "y") -> LinearMap:
-    """The bare interferometer BS -> mirrors -> BS on the direction subsystem,
-    optionally with a phase shifter between the first beam splitter and the
-    mirrors.  With equal arms it equals e^{i pi} times the identity.
-    """
-    bs = beam_splitter()
-    composite = bs @ mirror_pair()
-    if phi is not None:
-        composite = composite @ phase_shifter(phi, path)
-    return composite @ bs
+    return EraserKrausPair(LinearMap(space, k_abs), LinearMap(space, k_noabs), eta=eta)
 
 
 def embedded(op: LinearMap, space: SpaceSpec) -> LinearMap:

@@ -18,6 +18,15 @@ measurement stages) for any shot count; it orders its histogram by one
 `np.lexsort` over the hit rows' per-level label ranks.  Exact enumeration
 is always the source of truth and sampling is validated against it.
 
+Every sum of leaf weights by a record predicate goes through one function,
+`_leaf_sums`: `marginal`, `conditional`, the distribution's sum check, both
+kinds of sweep point, and the CLI's conditionals of probabilities and of
+shot counts.  It adds the weights with one `np.bincount` over (predicate,
+grid point) bins, each bin in leaf order from 0.0, so every sum is a
+left-to-right loop's bit for bit, and it calls each predicate once per
+distinct record.  The walk drops leaves below PRUNE_PROB and counts the
+probability they held (`pruned`), so the sum check reads kept + pruned.
+
 A stage costs what its structure needs.  A projective measurement or the
 detectors select: each amplitude is copied to the outcome its label names,
 by a cached index array per (axis, dims), with no arithmetic.  Unitary and
@@ -42,10 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache
 from itertools import repeat
-from operator import add, attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -285,10 +294,51 @@ class Branch:
         return dict(self._record)
 
 
-def _total(probs: Iterable[float]) -> float:
-    """The left-to-right sum of `probs` from 0.0: `np.cumsum(probs)[-1]`,
-    and Python's `sum(probs, 0.0)` up to 3.11, bit for bit."""
-    return reduce(add, probs, 0.0)
+def _leaf_sums(records: Sequence[Record], weights: np.ndarray | Sequence[float],
+               predicates: Sequence[tuple[Predicate, ...]], rows: np.ndarray | None = None,
+               points: np.ndarray | None = None, grid: int = 1) -> np.ndarray:
+    """The (len(predicates), grid) sums of `weights` by record predicate and
+    grid point.
+
+    Weight i has the record `records[rows[i]]` (`records[i]` by default)
+    and the grid point `points[i]` (0 by default).  Entry [k, g] adds the
+    weights at point g whose record satisfies every predicate of
+    `predicates[k]`; the empty tuple takes every weight.  One `np.bincount`
+    over the (k, g) bins adds them, each bin in weight order from 0.0, so a
+    sum is a left-to-right loop's bit for bit (a left-out weight adds +0.0,
+    which changes no bit).  Each distinct predicate is called once per
+    record, on the record as a dict.
+    """
+    outcomes = list(map(dict, records)) if any(predicates) else []
+    mask = cache(lambda of: np.array([bool(of(outcome)) for outcome in outcomes], dtype=bool))
+    select = np.ones((len(predicates), len(records)), dtype=bool)
+    for selected, conjunction in zip(select, predicates):
+        for of in conjunction:
+            selected &= mask(of)
+    if rows is not None:
+        select = select[:, rows]
+    if points is None:
+        points = np.zeros(len(weights), dtype=np.intp)
+    size = len(predicates) * grid
+    bins = np.arange(0, size, grid)[:, None] + points
+    return np.bincount(bins.ravel(), np.where(select, weights, 0.0).ravel(),
+                       size).reshape(len(predicates), grid)
+
+
+def _check_sums(kept: np.ndarray, pruned: np.ndarray | float,
+                p_given: np.ndarray | None = None) -> None:
+    """Raise for the first grid point whose kept and pruned probability are
+    off 1 by more than ATOL_DIST_SUM (ValueError) or whose conditioning
+    event has probability `p_given` zero (ZeroProbabilityEventError): the
+    checks of `OutcomeDistribution` and `conditional`, in the order a
+    point-by-point loop meets them."""
+    total = kept + pruned
+    bad_sum = np.abs(total - 1.0) > ATOL_DIST_SUM
+    failed = np.flatnonzero(bad_sum if p_given is None else bad_sum | (p_given == 0.0))
+    if failed.size:
+        if bad_sum[failed[0]]:
+            raise ValueError(f"branch probabilities sum to {float(total[failed[0]])!r}, not 1")
+        raise ZeroProbabilityEventError("conditioning event has zero probability")
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,25 +347,25 @@ class OutcomeDistribution:
 
     Leaf i has record `records[i]`, probability `probs[i]` and normalized
     amplitudes `amps[i]`, a row of one read-only (leaves, d) block on
-    `space`; leaves are in depth-first order.  The probabilities are checked
-    once, here.  `branches` views the same leaves as `Branch` objects,
-    built on its first read and the same tuple on every read after.
+    `space`; leaves are in depth-first order.  `pruned` is the probability
+    of the leaves dropped below PRUNE_PROB.  The probabilities are checked
+    once, here: the kept ones and `pruned` must sum to 1.  `branches` views
+    the same leaves as `Branch` objects, built on its first read and the
+    same tuple on every read after.
     """
 
     records: tuple[Record, ...]
     probs: np.ndarray
     amps: np.ndarray
     space: SpaceSpec
-    prune_threshold: float = field(default=PRUNE_PROB)
+    pruned: float = field(default=0.0)
 
     def __post_init__(self):
         if not len(self.records) == len(self.probs) == len(self.amps):
             raise ValueError("records, probabilities and amplitudes differ in length")
         if (self.probs < 0.0).any():
             raise ValueError("negative branch probability")
-        total = _total(self.probs.tolist())
-        if abs(total - 1.0) > ATOL_DIST_SUM:
-            raise ValueError(f"branch probabilities sum to {total!r}, not 1")
+        _check_sums(_leaf_sums(self.records, self.probs, [()])[0], self.pruned)
 
     @cached_property
     def branches(self) -> tuple[Branch, ...]:
@@ -333,18 +383,15 @@ def matches(**pairs: str) -> Predicate:
 def marginal(dist: OutcomeDistribution, of: Predicate) -> float:
     """Total probability of branches whose record satisfies the predicate,
     summed in leaf order."""
-    return _total(prob for record, prob in zip(dist.records, dist.probs.tolist())
-                  if of(dict(record)))
+    return _leaf_sums(dist.records, dist.probs, [(of,)]).item()
 
 
 def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> float:
     """P(of | given); raises ZeroProbabilityEventError if P(given) = 0."""
-    in_given = [(outcomes, prob) for outcomes, prob
-                in zip(map(dict, dist.records), dist.probs.tolist()) if given(outcomes)]
-    p_given = _total(prob for _, prob in in_given)
+    p_given, joint = _leaf_sums(dist.records, dist.probs, [(given,), (given, of)]).ravel().tolist()
     if p_given == 0.0:
         raise ZeroProbabilityEventError("conditioning event has zero probability")
-    return _total(prob for outcomes, prob in in_given if of(outcomes)) / p_given
+    return joint / p_given
 
 
 def _stage_operators(stage: Stage, space: SpaceSpec, local: Sequence[np.ndarray] | None = None
@@ -434,14 +481,16 @@ class BranchTree(NamedTuple):
     the final rows that no branch below PRUNE_PROB leads to, are arrays in
     grid-point order, depth-first within a point: their final-row indices
     `leaves`, probabilities `probs` and normalized amplitudes `amps`, one
-    (L, d) block.  `outcomes` and `records` read a final row's record back
-    from the levels, for the rows asked for.
+    (L, d) block.  `pruned` holds, per grid point, the probability of the
+    final rows that are not leaves.  `outcomes` and `records` read a final
+    row's record back from the levels, for the rows asked for.
     """
 
     levels: list[Level]
     leaves: np.ndarray
     probs: np.ndarray
     amps: np.ndarray
+    pruned: np.ndarray
 
     def outcomes(self, final_rows: np.ndarray) -> list[np.ndarray]:
         """The outcome each of `final_rows` took at every level, one array
@@ -494,7 +543,8 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     points in order; a level with more rows gathers each row's matrices.
 
     The leaves are the final rows kept at or above PRUNE_PROB (see
-    `BranchTree`), not checked here.  Stage order is taken as given (the
+    `BranchTree`), not checked here; the others' probability is summed per
+    point as `pruned`.  Stage order is taken as given (the
     delayed-choice check runs stage lists that would not validate).
     """
     amps = initial.amps[None, :].repeat(points, axis=0)
@@ -525,8 +575,11 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
         pairs = np.fromiter(((key, outcome) for outcome in outcomes), dtype=object,
                             count=len(outcomes))
         levels.append(Level(pairs, weights, rows, outs))
-    leaves = kept.nonzero()[0]
-    return BranchTree(levels, leaves, prob[leaves], amps[leaves])
+    leaves, dropped = kept.nonzero()[0], (~kept).nonzero()[0]
+    # The dropped rows' records are not read: every one is the empty record.
+    pruned = _leaf_sums([()] * len(dropped), prob[dropped], [()], grid=points,
+                        points=_ancestry(levels, dropped)[1] if points > 1 else None)[0]
+    return BranchTree(levels, leaves, prob[leaves], amps[leaves], pruned)
 
 
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
@@ -542,7 +595,7 @@ def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
     tree.amps.setflags(write=False)
     tree.probs.setflags(write=False)
     return OutcomeDistribution(tuple(tree.records(tree.outcomes(tree.leaves))), tree.probs,
-                               tree.amps, pipeline.space)
+                               tree.amps, pipeline.space, tree.pruned.item())
 
 
 @dataclass(frozen=True, eq=False)
@@ -685,11 +738,9 @@ def _swept_points(family: PipelineFamily, grid: Sequence[float],
 
 def _chunk_points(tree: BranchTree, grid: Sequence[float],
                   given: Predicate | None) -> list[SweepPoint]:
-    """The points of one walk over `grid`, equal to the per-point ones.
-
-    Each predicate is called once per distinct leaf record.  Every sum is
-    `marginal`'s, a point's leaves added in leaf order from 0.0, as
-    `np.bincount` adds them."""
+    """The points of one walk over `grid`, equal to the per-point ones: the
+    leaves' sums come from one `_leaf_sums` call over their distinct
+    records."""
     outcomes, points = _ancestry(tree.levels, tree.leaves)
     # Number the leaves' outcome paths densely, level by level, and read the
     # record of each path once.
@@ -702,28 +753,24 @@ def _chunk_points(tree: BranchTree, grid: Sequence[float],
         path, paths = number[path], int(number[-1]) + 1
     leaf = np.empty(paths, dtype=np.intp)
     leaf[path] = np.arange(len(path))
-    records = [dict(record) for record in tree.records([column[leaf] for column in outcomes])]
+    records = tree.records([column[leaf] for column in outcomes])
+    return _sweep_points(records, tree.probs, given, grid, tree.pruned, path, points)
 
-    # Which paths each sum takes: all, X, Y, and then given, given and X,
-    # given and Y.
-    masks = np.array([[True] * paths] + [[bool(of(record)) for record in records] for of in
-                      (matches(detector="X"), matches(detector="Y"), given) if of is not None])
-    if given is not None:
-        masks = np.concatenate((masks, masks[3] & masks[1:3]))
-    weights = np.where(masks[:, path], tree.probs, 0.0)
-    bins = np.add.outer(np.arange(0, len(masks) * len(grid), len(grid)), points)
-    sums, prob_x, prob_y, *conditioned = np.bincount(
-        bins.ravel(), weights.ravel(), len(masks) * len(grid)).reshape(len(masks), len(grid))
-    p_given = conditioned[0] if conditioned else np.ones(len(grid))
-    # The point-by-point checks of `OutcomeDistribution` and `conditional`,
-    # raised for the first point that fails one, as the loop would.
-    bad_sum = np.abs(sums - 1.0) > ATOL_DIST_SUM
-    failed = np.flatnonzero(bad_sum | (p_given == 0.0))
-    if failed.size:
-        if bad_sum[failed[0]]:
-            raise ValueError(f"branch probabilities sum to {float(sums[failed[0]])!r}, not 1")
-        raise ZeroProbabilityEventError("conditioning event has zero probability")
-    conds = [(total / p_given).tolist() for total in conditioned[1:]] or [repeat(None)] * 2
+
+def _sweep_points(records: Sequence[Record], probs: np.ndarray, given: Predicate | None,
+                  grid: Sequence[float], pruned: np.ndarray | float,
+                  rows: np.ndarray | None = None,
+                  points: np.ndarray | None = None) -> list[SweepPoint]:
+    """Sweep points over `grid` from one `_leaf_sums` call on the leaves
+    (`records`, `probs`, `rows` and `points` are its arguments), checked by
+    `_check_sums`.  A point sums all its leaves, X and Y, and then given,
+    given and X, and given and Y."""
+    detectors = [(matches(detector="X"),), (matches(detector="Y"),)]
+    conditions = [] if given is None else [(given,)] + [(given, *of) for of in detectors]
+    kept, prob_x, prob_y, *conditioned = _leaf_sums(records, probs, [()] + detectors + conditions,
+                                                    rows, points, len(grid))
+    _check_sums(kept, pruned, conditioned[0] if conditioned else None)
+    conds = [(total / conditioned[0]).tolist() for total in conditioned[1:]] or [repeat(None)] * 2
     return list(map(SweepPoint._make, zip(grid, prob_x.tolist(), prob_y.tolist(), *conds)))
 
 
@@ -744,13 +791,10 @@ def sweep(build: Callable[[float], Pipeline], parameter: str,
         raise ValueError("sweep grid contains non-finite values")
     points = _swept_points(build, grid, given) if isinstance(build, PipelineFamily) else None
     if points is None:
-        points, detectors = [], (matches(detector="X"), matches(detector="Y"))
+        points = []
         for value in grid:
             dist = run_analytic(build(value))
-            point = [value] + [marginal(dist, of) for of in detectors]
-            if given is not None:
-                point += [conditional(dist, given, of) for of in detectors]
-            points.append(SweepPoint(*point))
+            points += _sweep_points(dist.records, dist.probs, given, [value], dist.pruned)
     fringe = [p.prob_x if given is None else p.cond_x for p in points]
     return SweepResult(parameter, tuple(grid), tuple(points), visibility(fringe))
 

@@ -15,7 +15,7 @@ included, and every other entry is +0.0.  Those places, its index plan,
 depend only on the shape of the space and the target axes, so they are
 worked out once per (axes, dims) and cached; no matrix content is.
 
-A unitary diagonal map, a phase shifter or the identity, is built by
+A unitary diagonal map, such as a phase shifter, is built by
 `LinearMap.diagonal`, which checks its d entries for finiteness and
 |z|^2 = 1 in O(d) where the general constructor forms M†M.
 
@@ -40,20 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 #: Max-entry tolerance on M†M - I for maps flagged unitary.
 ATOL_UNITARY = 1e-10
-#: Tolerance on probabilities and amplitude-level comparisons.
-ATOL_PROB = 1e-12
-#: Tolerance on |<a|b>| for global-phase equality of normalized states.
-ATOL_GLOBAL_PHASE = 1e-10
 #: Norm tolerance for states tagged normalized.
 ATOL_NORM = 1e-10
-#: Idempotence/Hermiticity tolerance for projectors.
-ATOL_PROJECTOR = 1e-12
 
 #: Hard cap on composite dimension.  Stages are applied as dense d x d
 #: complex matrices, 16 MiB each at the cap.
@@ -240,12 +234,6 @@ class StateVector:
             raise ValueError("cannot renormalize the zero vector")
         return StateVector(self.space, self.amps / n)
 
-    def scaled(self, factor: complex) -> "StateVector":
-        return StateVector(self.space, self.amps * factor, normalized=False)
-
-    def amplitude(self, labels: Mapping[str, str] | Sequence[str]) -> complex:
-        return complex(self.amps[self.space.index_of(labels)])
-
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
@@ -311,17 +299,6 @@ class LinearMap:
             raise SpaceMismatchError("cannot compose maps on different spaces")
         return LinearMap(self.space, self.matrix @ other.matrix,
                          unitary=self.unitary and other.unitary)
-
-
-def identity(space: SpaceSpec) -> LinearMap:
-    return LinearMap.diagonal(space, np.ones(space.dim))
-
-
-def kron(a: LinearMap, b: LinearMap) -> LinearMap:
-    """Tensor product acting on the concatenated space (a's subsystems first)."""
-    space = SpaceSpec(a.space.subsystems + b.space.subsystems)
-    return LinearMap(space, np.kron(a.matrix, b.matrix),
-                     unitary=a.unitary and b.unitary)
 
 
 @lru_cache(maxsize=256)
@@ -418,16 +395,6 @@ def projector(space: SpaceSpec, subsystem: str, label: str) -> LinearMap:
     axis = space.axis(subsystem)
     return LinearMap(space, lift(label_projector(space.subsystems[axis], label),
                                  [axis], space.dims))
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector,
-                             tol: float = ATOL_GLOBAL_PHASE) -> bool:
-    """True iff two normalized states differ only by a phase factor."""
-    if a.space != b.space:
-        raise SpaceMismatchError("states live on different spaces")
-    if not (a.normalized and b.normalized):
-        raise ValueError("global-phase comparison requires normalized states")
-    return abs(inner(a, b)) >= 1.0 - tol
 
 
 def branch_probability(op: LinearMap, psi: StateVector) -> float:

@@ -25,6 +25,17 @@ MALFORMED_GIVEN = [
 ]
 
 
+def pruned_file(tmp_path, sweep=False):
+    """66 lines whose kept leaves sum to 1 - 1.06e-10: 16 readouts that each
+    split 1 %/99 % (a phase of 2 asin(0.1)) drop more than ATOL_DIST_SUM
+    below PRUNE_PROB."""
+    block = ["beamsplitter", "phase A 0.20033484232311968", "beamsplitter", "wwreadout"]
+    lines = ["source A"] + (["phase B phi"] if sweep else []) + block * 16 + ["detect"]
+    path = tmp_path / "pruned.mzx"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -120,6 +131,22 @@ class TestRun:
                                "--shots", "50", "--seed", "1",
                                "--given", "abs=yes")
         assert code == 3
+
+    def test_sampled_condition_on_the_detector(self, capsys):
+        # P(Y | detector=X) is 0 whether the leaves are counted or summed.
+        for shots in ([], ["--shots", "1000"]):
+            code, out, _ = run_cli(capsys, "run", path("eraser.mzx"), "--format", "csv",
+                                   "--given", "detector=X", *shots)
+            assert code == 0
+            assert out.endswith("conditional,detector=X|detector=X,1\n"
+                                "conditional,detector=Y|detector=X,0\n")
+
+    def test_pruned_mass_counts_toward_the_sum(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "run", pruned_file(tmp_path), "--format", "csv")
+        assert (code, err) == (0, "")
+        # The header and two meta lines, then the 14 893 leaves kept at or
+        # above PRUNE_PROB.
+        assert len(out.splitlines()) == 3 + 14893
 
     def test_unbound_parameter_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "run", path("baseline_phase.mzx"))
@@ -219,6 +246,13 @@ class TestSweep:
                                  "--steps", "4", "--given", given)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_pruned_mass_counts_toward_the_sum(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "sweep", pruned_file(tmp_path, sweep=True),
+                                 "--param", "phi", "--from", "0", "--to", "1", "--steps", "2",
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4
+
     def test_too_few_steps_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),
                                "--param", "phi", "--from", "0", "--to", "1",
@@ -307,6 +341,22 @@ class TestValidate:
     def test_unreadable_path_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "validate", path("missing.mzx"))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.mzx"
+        bad.write_bytes(b"source A\n\xff\ndetect\n")
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+
+    def test_syntax_error_reported_like_run(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mzx"
+        bad.write_text("source A\nbeamsplitter 3\ndetect\n")
+        _, _, run_err = run_cli(capsys, "run", str(bad))
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert (code, out) == (1, "")
+        assert run_err == f"error: {err}"
 
 
 def test_console_entry_point_runs_in_subprocess():

@@ -87,6 +87,22 @@ def table(dist):
 
 
 class TestRunAnalytic:
+    def test_pruned_mass_is_counted(self):
+        # 16 readouts that split 1 %/99 % drop more than ATOL_DIST_SUM of
+        # probability below PRUNE_PROB.
+        block = "beamsplitter\nphase A 0.20033484232311968\nbeamsplitter\nwwreadout\n"
+        dist = run_analytic(dsl.compile(dsl.parse_text("source A\n" + block * 16 + "detect\n")))
+        assert len(dist.records) == 14893
+        assert dist.pruned > exp.ATOL_DIST_SUM
+        assert abs(dist.probs.sum() + dist.pruned - 1.0) <= exp.ATOL_DIST_SUM
+
+    def test_unaccounted_probability_is_rejected(self):
+        dist = run_analytic(eraser_pipeline(0.6))
+        assert dist.pruned < exp.PRUNE_PROB
+        with pytest.raises(ValueError, match="sum to"):
+            exp.OutcomeDistribution(dist.records, dist.probs, dist.amps, dist.space,
+                                    pruned=2 * exp.ATOL_DIST_SUM)
+
     def test_baseline_single_branch(self):
         dist = run_analytic(baseline_pipeline())
         assert len(dist.branches) == 1
@@ -269,6 +285,17 @@ class TestConditionalAndMarginal:
         with pytest.raises(ZeroProbabilityEventError):
             conditional(dist, matches(abs="yes"), matches(detector="X"))
 
+    def test_each_predicate_is_called_once_per_record(self):
+        dist = run_analytic(eraser_pipeline(0.6))
+        calls = []
+
+        def given(record):
+            calls.append(tuple(record.items()))
+            return record["abs"] == "yes"
+
+        conditional(dist, given, matches(detector="X"))
+        assert sorted(calls) == sorted(dist.records)
+
     def test_law_of_total_probability(self):
         dist = run_analytic(eraser_pipeline(0.6))
         total = sum(
@@ -292,8 +319,8 @@ def naive_operators(stage, space):
         return stage.record_key, [
             (names.get(label, label), hilbert.projector(space, stage.subsystem, label).matrix)
             for label in space.subsystem(stage.subsystem).labels]
-    p_x, p_y = comp.detector_projectors(space)
-    return stage.record_key, [("X", p_x.matrix), ("Y", p_y.matrix)]
+    return stage.record_key, [(outcome, hilbert.projector(space, "direction", label).matrix)
+                              for outcome, label in (("X", "x"), ("Y", "y"))]
 
 
 def naive_enumerate(pipeline):
@@ -674,8 +701,8 @@ class TestPipelineValidation:
         (comp.tagged_space(), exp.Unitary(comp.beam_splitter(), ("atom",)),
          "stage 1: operator does not match targets ('atom',)"),
         (comp.tagged_space(),
-         exp.Unitary(hilbert.identity(hilbert.space_of(hilbert.SubsystemSpec(
-             "direction", ("y", "x")))), ("direction",)),
+         exp.Unitary(hilbert.LinearMap.diagonal(hilbert.space_of(hilbert.SubsystemSpec(
+             "direction", ("y", "x"))), [1.0, 1.0]), ("direction",)),
          "stage 1: operator does not match targets ('direction',)"),
         (comp.eraser_space(), GeneralizedMeasure(comp.eraser_kraus(0.5), ("eraser", "photon"),
                                                  "abs"),

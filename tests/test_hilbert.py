@@ -11,10 +11,7 @@ from mzsim.hilbert import (
     SubsystemSpec,
     apply,
     embed,
-    equal_up_to_global_phase,
-    identity,
     inner,
-    kron,
     lift,
     projector,
     space_of,
@@ -46,16 +43,8 @@ def random_state(rng, space):
     return StateVector(space, v / np.linalg.norm(v))
 
 
-def kron_oracle(a, b):
-    # Entry-by-entry definition of the tensor product.
-    da, db = a.shape[0], b.shape[0]
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        for j in range(da):
-            for k in range(db):
-                for l in range(db):
-                    out[i * db + k, j * db + l] = a[i, j] * b[k, l]
-    return out
+def identity(space):
+    return LinearMap.diagonal(space, np.ones(space.dim))
 
 
 def embed_oracle(op, targets, space):
@@ -198,32 +187,7 @@ class TestDiagonal:
         assert op.matrix.tobytes() == np.eye(hilbert.MAX_TOTAL_DIM, dtype=complex).tobytes()
 
 
-class TestKron:
-    def test_identity_times_identity(self):
-        result = kron(identity(space_of(AB)), identity(space_of(PQR)))
-        assert np.array_equal(result.matrix, np.eye(6))
-        assert result.unitary
-
-    @pytest.mark.parametrize("subs", [(AB, UV), (AB, PQR), (PQR, UV)])
-    def test_matches_entrywise_oracle(self, subs):
-        rng = np.random.default_rng(2024)
-        a, b = random_map(rng, subs[0]), random_map(rng, subs[1])
-        assert np.allclose(kron(a, b).matrix, kron_oracle(a.matrix, b.matrix),
-                           atol=1e-15)
-
-    def test_unitary_flag_propagates(self):
-        rng = np.random.default_rng(0)
-        u = LinearMap(space_of(AB), gram_schmidt_unitary(rng, 2), unitary=True)
-        w = LinearMap(space_of(UV), gram_schmidt_unitary(rng, 2), unitary=True)
-        assert kron(u, w).unitary
-        assert not kron(u, random_map(rng, UV)).unitary
-
-    def test_dimension_overflow_rejected(self):
-        big = SubsystemSpec("big", tuple(f"l{i}" for i in range(1024)))
-        wide = SubsystemSpec("wide", tuple(f"m{i}" for i in range(1024)))
-        with pytest.raises(ValueError, match="exceeds"):
-            kron(identity(space_of(big)), identity(space_of(wide)))
-
+class TestDimensionCap:
     def test_space_at_the_cap_embeds(self):
         big = SubsystemSpec("big", tuple(f"l{i}" for i in range(hilbert.MAX_TOTAL_DIM // 2)))
         space = space_of(big, AB)
@@ -469,25 +433,3 @@ class TestProjector:
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             projector(space_of(AB), "left", "zzz")
-
-
-class TestGlobalPhase:
-    def test_sign_flip_is_equal(self):
-        psi = random_state(np.random.default_rng(5), space_of(PQR))
-        assert equal_up_to_global_phase(psi, psi.scaled(-1.0).renormalized())
-
-    def test_orthogonal_states_are_not(self):
-        space = space_of(AB)
-        assert not equal_up_to_global_phase(space.basis_state(("a",)),
-                                            space.basis_state(("b",)))
-
-    def test_arbitrary_phase(self):
-        psi = random_state(np.random.default_rng(6), space_of(AB, UV))
-        rotated = StateVector(psi.space, psi.amps * np.exp(0.37j))
-        assert equal_up_to_global_phase(psi, rotated)
-
-    def test_requires_normalized(self):
-        space = space_of(AB)
-        half = StateVector(space, [0.5, 0.0], normalized=False)
-        with pytest.raises(ValueError, match="normalized"):
-            equal_up_to_global_phase(half, space.basis_state(("a",)))

@@ -187,6 +187,16 @@ def test_deep_records_equal_point_by_point():
         assert batched == reference
 
 
+def test_pruned_points_equal_point_by_point():
+    # Each point drops more than ATOL_DIST_SUM below PRUNE_PROB; the batch
+    # counts it per point, as each point's distribution does.
+    block = "beamsplitter\nphase A 0.20033484232311968\nbeamsplitter\nwwreadout\n"
+    text = "source A\nphase B p\n" + block * 16 + "detect\n"
+    batched, reference = both(dsl.parse_text(text), "p", [0.0, 1.0], {"ww": "A"})
+    assert batched == reference
+    assert reference[2]   # points, not an error
+
+
 def test_unmatched_point_reports_float_zero():
     # At phi = 0 no branch reaches detector Y: the loop's empty sum is 0.0.
     result = sweep(dsl.sweep_template(load("baseline_phase.mzx"), "phi"), "phi",
