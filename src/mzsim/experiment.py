@@ -321,8 +321,9 @@ def _leaf_sums(records: Sequence[Record], weights: np.ndarray | Sequence[float],
         points = np.zeros(len(weights), dtype=np.intp)
     size = len(predicates) * grid
     bins = np.arange(0, size, grid)[:, None] + points
-    return np.bincount(bins.ravel(), np.where(select, weights, 0.0).ravel(),
-                       size).reshape(len(predicates), grid)
+    sums = np.bincount(bins.ravel(), np.where(select, weights, 0.0).ravel(), size)
+    # np.bincount gives int64 zeros when there are no weights at all.
+    return sums.astype(np.float64, copy=False).reshape(len(predicates), grid)
 
 
 def _check_sums(kept: np.ndarray, pruned: np.ndarray | float,

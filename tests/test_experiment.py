@@ -96,6 +96,10 @@ class TestRunAnalytic:
         assert dist.pruned > exp.ATOL_DIST_SUM
         assert abs(dist.probs.sum() + dist.pruned - 1.0) <= exp.ATOL_DIST_SUM
 
+    def test_nothing_pruned_is_float_zero(self):
+        dist = run_analytic(baseline_pipeline())
+        assert type(dist.pruned) is float and dist.pruned == 0.0
+
     def test_unaccounted_probability_is_rejected(self):
         dist = run_analytic(eraser_pipeline(0.6))
         assert dist.pruned < exp.PRUNE_PROB
