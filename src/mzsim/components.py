@@ -195,8 +195,7 @@ def eraser_kraus(eta: float) -> EraserKrausPair:
     space = space_of(hilbert.photon(), hilbert.eraser())
 
     coupled = np.zeros(space.dim, dtype=np.complex128)
-    coupled[space.index_of(("A", "gamma"))] = SQRT_HALF
-    coupled[space.index_of(("B", "gamma"))] = SQRT_HALF
+    coupled[[space.index_of((path, "gamma")) for path in ("A", "B")]] = SQRT_HALF
     sink = np.zeros(space.dim, dtype=np.complex128)
     sink[space.index_of(("vac", "epsilon"))] = 1.0
 

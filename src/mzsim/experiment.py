@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -310,36 +310,18 @@ def _leaf_sums(records: Sequence[Record], weights: np.ndarray | Sequence[float],
     record, on the record as a dict.
     """
     outcomes = list(map(dict, records)) if any(predicates) else []
-    mask = cache(lambda of: np.array([bool(of(outcome)) for outcome in outcomes], dtype=bool))
+    masks = {of: np.array([bool(of(outcome)) for outcome in outcomes], dtype=bool)
+             for of in dict.fromkeys(of for conjunction in predicates for of in conjunction)}
     select = np.ones((len(predicates), len(records)), dtype=bool)
     for selected, conjunction in zip(select, predicates):
         for of in conjunction:
-            selected &= mask(of)
+            selected &= masks[of]
     if rows is not None:
         select = select[:, rows]
-    if points is None:
-        points = np.zeros(len(weights), dtype=np.intp)
-    size = len(predicates) * grid
-    bins = np.arange(0, size, grid)[:, None] + points
-    sums = np.bincount(bins.ravel(), np.where(select, weights, 0.0).ravel(), size)
-    # np.bincount gives int64 zeros when there are no weights at all.
-    return sums.astype(np.float64, copy=False).reshape(len(predicates), grid)
-
-
-def _check_sums(kept: np.ndarray, pruned: np.ndarray | float,
-                p_given: np.ndarray | None = None) -> None:
-    """Raise for the first grid point whose kept and pruned probability are
-    off 1 by more than ATOL_DIST_SUM (ValueError) or whose conditioning
-    event has probability `p_given` zero (ZeroProbabilityEventError): the
-    checks of `OutcomeDistribution` and `conditional`, in the order a
-    point-by-point loop meets them."""
-    total = kept + pruned
-    bad_sum = np.abs(total - 1.0) > ATOL_DIST_SUM
-    failed = np.flatnonzero(bad_sum if p_given is None else bad_sum | (p_given == 0.0))
-    if failed.size:
-        if bad_sum[failed[0]]:
-            raise ValueError(f"branch probabilities sum to {float(total[failed[0]])!r}, not 1")
-        raise ZeroProbabilityEventError("conditioning event has zero probability")
+    offsets = np.arange(0, len(predicates) * grid, grid)
+    bins = offsets.repeat(len(weights)) if points is None else np.add.outer(offsets, points).ravel()
+    return np.bincount(bins, np.where(select, weights, 0.0).ravel(),
+                       len(predicates) * grid).reshape(len(predicates), grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +348,9 @@ class OutcomeDistribution:
             raise ValueError("records, probabilities and amplitudes differ in length")
         if (self.probs < 0.0).any():
             raise ValueError("negative branch probability")
-        _check_sums(_leaf_sums(self.records, self.probs, [()])[0], self.pruned)
+        total = _leaf_sums(self.records, self.probs, [()]).item() + self.pruned
+        if abs(total - 1.0) > ATOL_DIST_SUM:
+            raise ValueError(f"branch probabilities sum to {total!r}, not 1")
 
     @cached_property
     def branches(self) -> tuple[Branch, ...]:
@@ -577,9 +561,10 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
                             count=len(outcomes))
         levels.append(Level(pairs, weights, rows, outs))
     leaves, dropped = kept.nonzero()[0], (~kept).nonzero()[0]
-    # The dropped rows' records are not read: every one is the empty record.
-    pruned = _leaf_sums([()] * len(dropped), prob[dropped], [()], grid=points,
-                        points=_ancestry(levels, dropped)[1] if points > 1 else None)[0]
+    pruned = np.zeros(points)
+    if dropped.size:   # rare; their records are not read, so each is the empty one
+        pruned = _leaf_sums([()] * len(dropped), prob[dropped], [()],
+                            points=_ancestry(levels, dropped)[1], grid=points)[0]
     return BranchTree(levels, leaves, prob[leaves], amps[leaves], pruned)
 
 
@@ -763,15 +748,24 @@ def _sweep_points(records: Sequence[Record], probs: np.ndarray, given: Predicate
                   rows: np.ndarray | None = None,
                   points: np.ndarray | None = None) -> list[SweepPoint]:
     """Sweep points over `grid` from one `_leaf_sums` call on the leaves
-    (`records`, `probs`, `rows` and `points` are its arguments), checked by
-    `_check_sums`.  A point sums all its leaves, X and Y, and then given,
-    given and X, and given and Y."""
+    (`records`, `probs`, `rows` and `points` are its arguments).  A point
+    sums all its leaves, X and Y, and then given, given and X, and given
+    and Y."""
     detectors = [(matches(detector="X"),), (matches(detector="Y"),)]
     conditions = [] if given is None else [(given,)] + [(given, *of) for of in detectors]
     kept, prob_x, prob_y, *conditioned = _leaf_sums(records, probs, [()] + detectors + conditions,
                                                     rows, points, len(grid))
-    _check_sums(kept, pruned, conditioned[0] if conditioned else None)
-    conds = [(total / conditioned[0]).tolist() for total in conditioned[1:]] or [repeat(None)] * 2
+    p_given = conditioned[0] if conditioned else np.ones(len(grid))
+    # The checks of `OutcomeDistribution` and `conditional`, raised for the
+    # first point that fails one, as a point-by-point loop would.
+    total = kept + pruned
+    bad_sum = np.abs(total - 1.0) > ATOL_DIST_SUM
+    failed = np.flatnonzero(bad_sum | (p_given == 0.0))
+    if failed.size:
+        if bad_sum[failed[0]]:
+            raise ValueError(f"branch probabilities sum to {float(total[failed[0]])!r}, not 1")
+        raise ZeroProbabilityEventError("conditioning event has zero probability")
+    conds = [(joint / p_given).tolist() for joint in conditioned[1:]] or [repeat(None)] * 2
     return list(map(SweepPoint._make, zip(grid, prob_x.tolist(), prob_y.tolist(), *conds)))
 
 
