@@ -313,9 +313,9 @@ def _leaf_sums(records: Sequence[Record], weights: np.ndarray | Sequence[float],
     masks = {of: np.array([bool(of(outcome)) for outcome in outcomes], dtype=bool)
              for of in dict.fromkeys(of for conjunction in predicates for of in conjunction)}
     select = np.ones((len(predicates), len(records)), dtype=bool)
-    for selected, conjunction in zip(select, predicates):
+    for k, conjunction in enumerate(predicates):
         for of in conjunction:
-            selected &= masks[of]
+            select[k] &= masks[of]
     if rows is not None:
         select = select[:, rows]
     offsets = np.arange(0, len(predicates) * grid, grid)
