@@ -726,6 +726,11 @@ class TestPipelineValidation:
             Pipeline(space, initial, (stage, Detect()))
         assert str(exc.value) == message
 
+    def test_detect_needs_a_direction_subsystem(self):
+        space = hilbert.space_of(hilbert.photon())
+        with pytest.raises(PipelineError, match="stage 1: no direction subsystem to detect"):
+            Pipeline(space, space.basis_state(("vac",)), (Detect(),))
+
     def test_initial_state_space_must_match(self):
         space = comp.direction_space()
         other = comp.tagged_space()
