@@ -270,8 +270,19 @@ def hex_or_error(function, *args):
         return type(exc), str(exc)
 
 
+@st.composite
+def readout_chains(draw):
+    """2 to 6 which-way readouts, each after a beam splitter and a phase, so
+    that a sum adds up to 32 leaves of unequal weight and its order shows."""
+    blocks = [f"beamsplitter\nphase {draw(st.sampled_from('AB'))} "
+              f"{draw(st.sampled_from(['p', repr(draw(st.floats(-3.0, 3.0)))]))}\nwwreadout\n"
+              for _ in range(draw(st.integers(2, 6)))]
+    return "source A\nphase B p\n" + "".join(blocks) + "beamsplitter\ndetect\n"
+
+
 @settings(max_examples=50, deadline=None)
-@given(templates(), st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 1.0)),
+@given(st.one_of(templates(), readout_chains()),
+       st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 1.0)),
        st.sampled_from(GIVENS))
 def test_marginal_and_conditional_equal_the_loop(text, value, condition):
     dist = exp.run_analytic(dsl.compile(dsl.parse_text(text), {"p": value}))
