@@ -48,6 +48,27 @@ INVALID_CASES = [
     ("source A\nphase B 1e999\ndetect\n", 2, "lexical", "out of range"),
 ]
 
+#: (source text, exact `str(ParseError)`) for the diagnostics INVALID_CASES
+#: does not reach: each message with its line and column.
+EXACT_DIAGNOSTICS = [
+    ("source\ndetect\n", "1:7: syntactic error: expected path label A or B"),
+    ("source A\neraser\ndetect\n", "2:7: syntactic error: expected open or closed"),
+    ("source A\nentangler\neraser open eta\ndetect\n", "3:16: syntactic error: expected '='"),
+    ("source A\nentangler\neraser open eta=\ndetect\n",
+     "3:17: syntactic error: expected eta value or parameter name"),
+    ("source A\nentangler\neraser open foo=1\ndetect\n",
+     "3:13: syntactic error: expected eta=..., got 'foo'"),
+    ("source A\nentangler\neraser open eta 1\ndetect\n",
+     "3:17: syntactic error: expected '=' after eta"),
+    ("source A\nbeamsplitter now\ndetect\n",
+     "2:14: syntactic error: unexpected 'now' at end of directive"),
+    ("source A\nphase B =\ndetect\n",
+     "2:9: syntactic error: expected phase value or parameter name, got '='"),
+    ("source A\nphase B 1 2\ndetect\n", "2:11: syntactic error: unexpected '2' at end of directive"),
+    ("open A\n", "1:1: syntactic error: unknown directive 'open'"),
+    ("", "1:1: semantic error: source directive required"),
+]
+
 
 class TestTokenize:
     def test_phase_directive(self):
@@ -115,6 +136,12 @@ class TestParse:
         assert err.value.category == category
         assert err.value.line == line
         assert fragment in err.value.message
+
+    @pytest.mark.parametrize("src,text", EXACT_DIAGNOSTICS)
+    def test_exact_diagnostics(self, src, text):
+        with pytest.raises(ParseError) as err:
+            parse_text(src)
+        assert str(err.value) == text
 
     def test_invalid_corpus_is_large_enough(self):
         assert len(INVALID_CASES) >= 10

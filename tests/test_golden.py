@@ -35,6 +35,8 @@ SWEEP_64 = ["--param", "phi", "--from", "0", "--to", "2pi", "--steps", "64"]
 #: Kept beside the golden file so that no benchmark input changes with them.
 ETA_FILE = "tests/golden/eraser_eta.mzx"
 TREE_FILE = "tests/golden/readout_tree.mzx"
+#: A file that breaks seven semantic rules, one diagnostic each.
+PROBLEMS_FILE = "tests/golden/validate_problems.mzx"
 
 
 def commands() -> list[list[str]]:
@@ -77,6 +79,8 @@ def commands() -> list[list[str]]:
                 "--shots", "20000", "--seed", "3", "--given", "abs=no"])
     out.append(["run", TREE_FILE, "--format", "table"])
     out.append(["run", TREE_FILE, "--format", "table", "--shots", "70001", "--seed", "9"])
+    out += [["validate", f"experiments/{name}"] for name in FILES]
+    out.append(["validate", PROBLEMS_FILE])
     return out
 
 

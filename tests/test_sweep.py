@@ -85,6 +85,18 @@ def test_batch_equals_point_by_point(text, grid, condition):
     assert batched == reference
 
 
+@settings(max_examples=100, deadline=None)
+@given(templates(), st.none() | st.floats(-1e6, 1e6), st.sampled_from(["", "pi"]))
+def test_generated_programs_round_trip(text, phase, suffix):
+    # A number in place of a free phase, negative ones and `pi` multiples included.
+    if phase is not None:
+        text = text.replace(" p\n", f" {phase!r}{suffix}\n")
+    ast = dsl.parse_text(text)
+    printed = dsl.pretty_print(ast)
+    assert dsl.parse_text(printed) == ast
+    assert dsl.pretty_print(dsl.parse_text(printed)) == printed
+
+
 @pytest.mark.parametrize("condition", [None, {"abs": "yes"}, {"abs": "no"}])
 @pytest.mark.parametrize("name", PHASE_FILES)
 def test_shipped_sweeps_equal_point_by_point(name, condition):
