@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
     try:
         pipeline = dsl.compile(ast)
     except dsl.ParseError as exc:
-        raise CliError(EXIT_INVALID, f"{args.file}:{exc}") from None
+        raise CliError(EXIT_INVALID, _diagnostic(args.file, exc)) from None
 
     meta = {"file": args.file, "sha256": digest, "given": _given_label(given) or None}
     if args.shots is None:

@@ -20,6 +20,16 @@ Validation rules: the file starts with exactly one source directive;
 detect is required, once, as the final stage; entangler appears at most
 once; eraser requires an entangler earlier in the file; wwreadout and
 entangler are mutually exclusive.
+
+Each directive kind is one class: its keyword, how the rest of its line
+parses, its canonical text, the parameter it names, its record-key prefix
+and the stage it compiles to (a phase or an eraser also builds the stage a
+sweep sets).  `DIRECTIVES` maps each keyword to its class, so a new kind
+takes one class and one entry there; rules that span several directives go
+in `validate`.  `tokenize`, `parse`, `validate` and `pretty_print` call
+nothing in `experiment` or `components`.  The stage builders look the
+component constructors up on `components` when they run, so a wrapper set
+on that module sees every call.
 """
 
 from __future__ import annotations
@@ -28,16 +38,15 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from itertools import groupby
+from operator import attrgetter
+from typing import ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
 from . import components, experiment, hilbert
-from .hilbert import space_of
 
-DIRECTIVE_KEYWORDS = ("source", "beamsplitter", "mirrors", "phase",
-                      "wwreadout", "entangler", "eraser", "detect")
-KEYWORDS = DIRECTIVE_KEYWORDS + ("open", "closed", "excited")
+_PATH_TO_DIRECTION = {"A": "x", "B": "y"}
 
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -125,64 +134,200 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
-# --- AST -------------------------------------------------------------------
+# --- AST: one class per directive kind -------------------------------------
 
 @dataclass(frozen=True)
-class SourceDecl:
+class _Directive:
+    """A directive kind.  `keyword` starts its line and `parse` reads the
+    rest of the line; `str` prints the directive back in canonical form.
+    A kind that takes a number holds it as a literal `value` or a parameter
+    name `param`, and has `swept(key, parameter)`.  A kind whose outcomes
+    are recorded gives its record keys' `record_prefix`: the kind's first
+    stage records under the prefix, later ones under prefix2, prefix3, ...
+    `stage` is what the directive compiles to, or None for no stage."""
+
+    keyword: ClassVar[str]
+    record_prefix: ClassVar[str | None] = None
+    value = param = None
+    line: int = field(compare=False, default=0, kw_only=True)
+
+    @classmethod
+    def parse(cls, p: _LineParser, line: int) -> _Directive:
+        return cls(line=line)
+
+    def __str__(self) -> str:
+        return self.keyword
+
+    def stage(self, key: str | None, bindings: Mapping[str, float]
+              ) -> experiment.Stage | None:
+        return None
+
+    def _text(self) -> str:
+        return self.param if self.param is not None else repr(self.value)
+
+    def _bound(self, bindings: Mapping[str, float], what: str, default=None) -> float:
+        """The directive's number: its parameter's value in `bindings`, else
+        its literal, else `default`; it must be finite."""
+        value = self.value if self.value is not None else default
+        if self.param is not None:
+            if self.param not in bindings:
+                raise _semantic(self.line, 1, f"unbound parameter {self.param!r}")
+            value = bindings[self.param]
+        if not math.isfinite(value):
+            raise _semantic(self.line, 1, f"{what} must be finite, got {value!r}")
+        return float(value)
+
+
+@dataclass(frozen=True)
+class SourceDecl(_Directive):
+    keyword = "source"
     label: str           # "A" | "B"
     excited: bool
-    line: int = field(compare=False, default=0)
+
+    @classmethod
+    def parse(cls, p, line):
+        label = p.dirlabel()
+        excited = p.peek() is not None and p.peek().text == "excited"
+        if excited:
+            p.take("excited")
+        return cls(label, excited, line=line)
+
+    def __str__(self):
+        return f"source {self.label} excited" if self.excited else f"source {self.label}"
 
 
 @dataclass(frozen=True)
-class BeamSplitterStage:
-    line: int = field(compare=False, default=0)
+class BeamSplitterStage(_Directive):
+    keyword = "beamsplitter"
+
+    def stage(self, key, bindings):
+        return experiment.unitary_on(components.beam_splitter())
 
 
 @dataclass(frozen=True)
-class MirrorsStage:
-    line: int = field(compare=False, default=0)
+class MirrorsStage(_Directive):
+    keyword = "mirrors"
+
+    def stage(self, key, bindings):
+        return experiment.unitary_on(components.mirror_pair())
 
 
 @dataclass(frozen=True)
-class PhaseStage:
+class PhaseStage(_Directive):
+    keyword = "phase"
     path: str            # "A" | "B"
     value: float | None
     param: str | None
-    line: int = field(compare=False, default=0)
+
+    @classmethod
+    def parse(cls, p, line):
+        path = p.dirlabel()
+        return cls(path, *p.number_or_param("phase value or parameter name"), line=line)
+
+    def __str__(self):
+        return f"phase {self.path} {self._text()}"
+
+    def stage(self, key, bindings):
+        return experiment.unitary_on(components.phase_shifter(
+            self._bound(bindings, "phase"), _PATH_TO_DIRECTION[self.path]))
+
+    def swept(self, key: str | None, parameter: str) -> experiment.SweptStage:
+        """This phase over the values of `parameter`; the template is phase 0."""
+        def build(value):
+            return self.stage(key, {parameter: value})
+        path = _PATH_TO_DIRECTION[self.path]
+        return experiment.SweptStage(
+            build(0.0), build, lambda values: (components.phase_shifter_stack(values, path),))
 
 
 @dataclass(frozen=True)
-class WwReadoutStage:
-    line: int = field(compare=False, default=0)
+class WwReadoutStage(_Directive):
+    keyword = "wwreadout"
+    record_prefix = "ww"
+
+    def stage(self, key, bindings):
+        return experiment.ProjectiveMeasure("direction", key, {"x": "A", "y": "B"})
 
 
 @dataclass(frozen=True)
-class EntanglerStage:
-    line: int = field(compare=False, default=0)
+class EntanglerStage(_Directive):
+    keyword = "entangler"
+
+    def stage(self, key, bindings):
+        return experiment.unitary_on(components.which_way_entangler())
 
 
 @dataclass(frozen=True)
-class EraserStage:
+class EraserStage(_Directive):
+    keyword = "eraser"
     open: bool
-    eta_value: float | None = None
-    eta_param: str | None = None
-    line: int = field(compare=False, default=0)
+    value: float | None = None     # eta; None is eta = 1
+    param: str | None = None
+
+    @classmethod
+    def parse(cls, p, line):
+        mode = p.take("open or closed")
+        if mode.text not in ("open", "closed"):
+            raise _syntactic(mode.line, mode.col, f"expected open or closed, got {mode.text!r}")
+        if p.peek() is None:
+            return cls(mode.text == "open", line=line)
+        name = p.take("eta setting")
+        if name.text != "eta":
+            raise _syntactic(name.line, name.col, f"expected eta=..., got {name.text!r}")
+        eq = p.take("'='")
+        if eq.text != "=":
+            raise _syntactic(eq.line, eq.col, "expected '=' after eta")
+        return cls(mode.text == "open", *p.number_or_param("eta value or parameter name"),
+                   line=line)
+
+    def __str__(self):
+        text = "eraser open" if self.open else "eraser closed"
+        if self.value is None and self.param is None:
+            return text
+        return f"{text} eta={self._text()}"
+
+    @property
+    def record_prefix(self):
+        return "abs" if self.open else None
+
+    def stage(self, key, bindings):
+        if not self.open:
+            return None  # closed channel: the eraser atom idles in gamma
+        try:
+            kraus = components.eraser_kraus(self._bound(bindings, "eta", 1.0))
+        except ValueError as exc:
+            raise _semantic(self.line, 1, str(exc)) from None
+        return experiment.GeneralizedMeasure(kraus, ("photon", "eraser"), key)
+
+    def swept(self, key: str | None, parameter: str) -> experiment.SweptStage | None:
+        """This eraser over the values of `parameter`; the template is eta 1."""
+        if not self.open:
+            return None
+
+        def build(value):
+            return self.stage(key, {parameter: value})
+
+        def stack(values):
+            # One Kraus pair per value, so a bad eta raises where `build` would.
+            pairs = [build(v).kraus for v in values.tolist()]
+            return (np.stack([p.k_abs.matrix for p in pairs]),
+                    np.stack([p.k_noabs.matrix for p in pairs]))
+        return experiment.SweptStage(build(1.0), build, stack)
 
 
 @dataclass(frozen=True)
-class DetectStage:
-    line: int = field(compare=False, default=0)
+class DetectStage(_Directive):
+    keyword = "detect"
+
+    def stage(self, key, bindings):
+        return experiment.Detect()
 
 
-Directive = (SourceDecl | BeamSplitterStage | MirrorsStage | PhaseStage |
-             WwReadoutStage | EntanglerStage | EraserStage | DetectStage)
-
-
-def _parameter(d: Directive) -> str | None:
-    """The parameter a directive names, if any."""
-    return d.param if isinstance(d, PhaseStage) else \
-        d.eta_param if isinstance(d, EraserStage) else None
+DIRECTIVES = {kind.keyword: kind for kind in (
+    SourceDecl, BeamSplitterStage, MirrorsStage, PhaseStage, WwReadoutStage,
+    EntanglerStage, EraserStage, DetectStage)}
+DIRECTIVE_KEYWORDS = tuple(DIRECTIVES)
+KEYWORDS = DIRECTIVE_KEYWORDS + ("open", "closed", "excited")
 
 
 @dataclass(frozen=True)
@@ -191,36 +336,13 @@ class ExperimentAst:
     this AST (its directives cannot change), so `compile` and
     `sweep_template` do not check an AST from `parse_text` again."""
 
-    directives: tuple[Directive, ...]
+    directives: tuple[_Directive, ...]
     end_line: int = field(compare=False, default=1)
     validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def free_parameters(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for d in self.directives:
-            cand = _parameter(d)
-            if cand is not None and cand not in names:
-                names.append(cand)
-        return tuple(names)
-
-    @property
-    def uses_entangler(self) -> bool:
-        return any(isinstance(d, EntanglerStage) for d in self.directives)
-
-    @property
-    def uses_eraser(self) -> bool:
-        return any(isinstance(d, EraserStage) for d in self.directives)
-
-
-def _group_lines(tokens: list[Token]) -> list[list[Token]]:
-    lines: list[list[Token]] = []
-    for tok in tokens:
-        if lines and lines[-1][0].line == tok.line:
-            lines[-1].append(tok)
-        else:
-            lines.append([tok])
-    return lines
+        return tuple(dict.fromkeys(d.param for d in self.directives if d.param is not None))
 
 
 class _LineParser:
@@ -244,77 +366,32 @@ class _LineParser:
         if tok is not None:
             raise _syntactic(tok.line, tok.col, f"unexpected {tok.text!r} at end of directive")
 
-    def dirlabel(self) -> Token:
+    def dirlabel(self) -> str:
         tok = self.take("path label A or B")
         if tok.text not in ("A", "B"):
             raise _syntactic(tok.line, tok.col, f"expected path label A or B, got {tok.text!r}")
-        return tok
+        return tok.text
 
-    def number_or_param(self, what: str) -> Token:
+    def number_or_param(self, what: str) -> tuple[float | None, str | None]:
+        """(value, None) for a number, (None, name) for a parameter name."""
         tok = self.take(what)
         if tok.kind not in ("number", "ident"):
             raise _syntactic(tok.line, tok.col, f"expected {what}, got {tok.text!r}")
-        return tok
+        return (tok.value, None) if tok.kind == "number" else (None, tok.text)
 
 
 def parse(tokens: list[Token]) -> ExperimentAst:
     """Token list to AST; raises on the first syntactic error."""
-    directives: list[Directive] = []
-    end_line = 1
-    for toks in _group_lines(tokens):
-        head = toks[0]
-        end_line = head.line
-        p = _LineParser(toks)
-        p.take("directive")
-        if head.kind != "keyword" or head.text not in DIRECTIVE_KEYWORDS:
+    directives = []
+    for _, toks in groupby(tokens, key=attrgetter("line")):
+        p = _LineParser(list(toks))
+        head = p.take("directive")
+        kind = DIRECTIVES.get(head.text)
+        if kind is None:
             raise _syntactic(head.line, head.col, f"unknown directive {head.text!r}")
-
-        if head.text == "source":
-            label = p.dirlabel()
-            excited = False
-            nxt = p.peek()
-            if nxt is not None and nxt.text == "excited":
-                p.take("excited")
-                excited = True
-            p.done()
-            directives.append(SourceDecl(label.text, excited, line=head.line))
-        elif head.text == "phase":
-            label = p.dirlabel()
-            arg = p.number_or_param("phase value or parameter name")
-            p.done()
-            if arg.kind == "number":
-                directives.append(PhaseStage(label.text, arg.value, None, line=head.line))
-            else:
-                directives.append(PhaseStage(label.text, None, arg.text, line=head.line))
-        elif head.text == "eraser":
-            mode = p.take("open or closed")
-            if mode.text not in ("open", "closed"):
-                raise _syntactic(mode.line, mode.col,
-                                 f"expected open or closed, got {mode.text!r}")
-            eta_value, eta_param = None, None
-            if p.peek() is not None:
-                name = p.take("eta setting")
-                if name.text != "eta":
-                    raise _syntactic(name.line, name.col,
-                                     f"expected eta=..., got {name.text!r}")
-                eq = p.take("'='")
-                if eq.text != "=":
-                    raise _syntactic(eq.line, eq.col, "expected '=' after eta")
-                arg = p.number_or_param("eta value or parameter name")
-                if arg.kind == "number":
-                    eta_value = arg.value
-                else:
-                    eta_param = arg.text
-            p.done()
-            directives.append(EraserStage(mode.text == "open", eta_value,
-                                          eta_param, line=head.line))
-        else:
-            p.done()
-            simple = {"beamsplitter": BeamSplitterStage, "mirrors": MirrorsStage,
-                      "wwreadout": WwReadoutStage, "entangler": EntanglerStage,
-                      "detect": DetectStage}
-            directives.append(simple[head.text](line=head.line))
-    return ExperimentAst(tuple(directives), end_line=max(end_line, 1))
+        directives.append(kind.parse(p, head.line))
+        p.done()
+    return ExperimentAst(tuple(directives), end_line=tokens[-1].line if tokens else 1)
 
 
 def validate(ast: ExperimentAst) -> list[ParseError]:
@@ -350,19 +427,18 @@ def validate(ast: ExperimentAst) -> list[ParseError]:
 
     seen_entangler = False
     for d in directives:
-        if isinstance(d, EntanglerStage):
-            seen_entangler = True
-        if isinstance(d, EraserStage) and not seen_entangler:
+        seen_entangler |= isinstance(d, EntanglerStage)
+        if not isinstance(d, EraserStage):
+            continue
+        if not seen_entangler:
             problems.append(_semantic(d.line, 1,
                                       "eraser requires photon register (add entangler first)"))
-        if isinstance(d, EraserStage) and d.eta_value is not None \
-                and not 0.0 < d.eta_value <= 1.0:
-            problems.append(_semantic(d.line, 1,
-                                      f"eta must lie in (0, 1], got {d.eta_value!r}"))
+        if d.value is not None and not 0.0 < d.value <= 1.0:
+            problems.append(_semantic(d.line, 1, f"eta must lie in (0, 1], got {d.value!r}"))
 
     seen_params: set[str] = set()
     for d in directives:
-        cand = _parameter(d)
+        cand = d.param
         if cand is None:
             continue
         if cand == "pi":
@@ -392,120 +468,48 @@ def parse_text(src: str) -> ExperimentAst:
     return ast
 
 
-def _fmt_number(value: float) -> str:
-    return repr(value)
-
-
 def pretty_print(ast: ExperimentAst) -> str:
     """Canonical text form; reparsing it yields a structurally equal AST."""
-    lines = []
-    for d in ast.directives:
-        if isinstance(d, SourceDecl):
-            lines.append(f"source {d.label} excited" if d.excited else f"source {d.label}")
-        elif isinstance(d, BeamSplitterStage):
-            lines.append("beamsplitter")
-        elif isinstance(d, MirrorsStage):
-            lines.append("mirrors")
-        elif isinstance(d, PhaseStage):
-            arg = d.param if d.param is not None else _fmt_number(d.value)
-            lines.append(f"phase {d.path} {arg}")
-        elif isinstance(d, WwReadoutStage):
-            lines.append("wwreadout")
-        elif isinstance(d, EntanglerStage):
-            lines.append("entangler")
-        elif isinstance(d, EraserStage):
-            text = "eraser open" if d.open else "eraser closed"
-            if d.eta_param is not None:
-                text += f" eta={d.eta_param}"
-            elif d.eta_value is not None:
-                text += f" eta={_fmt_number(d.eta_value)}"
-            lines.append(text)
-        elif isinstance(d, DetectStage):
-            lines.append("detect")
-    return "\n".join(lines) + "\n"
-
-
-_PATH_TO_DIRECTION = {"A": "x", "B": "y"}
+    return "\n".join(map(str, ast.directives)) + "\n"
 
 
 def _layout(ast: ExperimentAst) -> tuple[hilbert.SpaceSpec, hilbert.StateVector]:
     """The space a validated AST needs and its initial basis state.
 
     Both follow from the source's label and whether the file uses the
-    entangler and the eraser, so `_layout_of` builds each of the at most 8
+    entangler and the eraser, so `_layout_of` builds each of the at most 6
     layouts once; the space and the state are immutable, and every pipeline
     of one layout shares them."""
-    source = next(d for d in ast.directives if isinstance(d, SourceDecl))
-    return _layout_of(source.label, ast.uses_entangler, ast.uses_eraser)
+    kinds = set(map(type, ast.directives))
+    return _layout_of(ast.directives[0].label, EntanglerStage in kinds, EraserStage in kinds)
 
 
 @lru_cache(maxsize=None)
 def _layout_of(label: str, entangler: bool, eraser: bool
                ) -> tuple[hilbert.SpaceSpec, hilbert.StateVector]:
-    subsystems = [hilbert.direction()]
-    labels = {"direction": _PATH_TO_DIRECTION[label]}
-    if entangler:
-        subsystems += [hilbert.photon(), hilbert.atom()]
-        labels.update(photon="vac", atom="e")
-    if eraser:
-        subsystems.append(hilbert.eraser())
-        labels["eraser"] = "gamma"
-    space = space_of(*subsystems)
+    space = (components.eraser_space() if eraser else
+             components.tagged_space() if entangler else components.direction_space())
+    # The source's direction, then photon vac, atom e and eraser gamma as far
+    # as the space has those registers.
+    labels = (_PATH_TO_DIRECTION[label], "vac", "e", "gamma")[:len(space.names)]
     return space, space.basis_state(labels)
 
 
-def _stage_directives(ast: ExperimentAst) -> list[tuple[Directive, str | None]]:
-    """(directive, record key) for every directive that makes a stage."""
-    out: list[tuple[Directive, str | None]] = []
-    ww_count = abs_count = 0
+def _stages(ast: ExperimentAst, build) -> tuple:
+    """`build(directive, record key)` for each directive in file order,
+    less the Nones of directives that make no stage.  A kind's record keys
+    are its prefix, then the prefix numbered from 2."""
+    counts: dict[str, int] = {}
+    stages = []
     for d in ast.directives:
-        key = None
-        if isinstance(d, SourceDecl):
-            continue
-        if isinstance(d, EraserStage):
-            if not d.open:
-                continue  # closed channel: the eraser atom idles in gamma
-            abs_count += 1
-            key = "abs" if abs_count == 1 else f"abs{abs_count}"
-        elif isinstance(d, WwReadoutStage):
-            ww_count += 1
-            key = "ww" if ww_count == 1 else f"ww{ww_count}"
-        out.append((d, key))
-    return out
-
-
-def _stage(d: Directive, key: str | None, bindings: Mapping[str, float]
-           ) -> experiment.Stage:
-    """The stage of one directive, its parameter taken from `bindings`."""
-    def resolve(value, what) -> float:
-        param = _parameter(d)
-        if param is not None:
-            if param not in bindings:
-                raise _semantic(d.line, 1, f"unbound parameter {param!r}")
-            value = bindings[param]
-        if not math.isfinite(value):
-            raise _semantic(d.line, 1, f"{what} must be finite, got {value!r}")
-        return float(value)
-
-    if isinstance(d, BeamSplitterStage):
-        return experiment.unitary_on(components.beam_splitter())
-    if isinstance(d, MirrorsStage):
-        return experiment.unitary_on(components.mirror_pair())
-    if isinstance(d, PhaseStage):
-        phi = resolve(d.value, "phase")
-        return experiment.unitary_on(components.phase_shifter(phi, _PATH_TO_DIRECTION[d.path]))
-    if isinstance(d, WwReadoutStage):
-        return experiment.ProjectiveMeasure("direction", key, {"x": "A", "y": "B"})
-    if isinstance(d, EntanglerStage):
-        return experiment.unitary_on(components.which_way_entangler())
-    if isinstance(d, EraserStage):
-        eta = resolve(d.eta_value if d.eta_value is not None else 1.0, "eta")
-        try:
-            kraus = components.eraser_kraus(eta)
-        except ValueError as exc:
-            raise _semantic(d.line, 1, str(exc)) from None
-        return experiment.GeneralizedMeasure(kraus, ("photon", "eraser"), key)
-    return experiment.Detect()
+        key = d.record_prefix
+        if key is not None:
+            counts[key] = n = counts.get(key, 0) + 1
+            key += str(n) if n > 1 else ""
+        stage = build(d, key)
+        if stage is not None:
+            stages.append(stage)
+    return tuple(stages)
 
 
 def compile(ast: ExperimentAst, bindings: Mapping[str, float] | None = None
@@ -521,29 +525,8 @@ def compile(ast: ExperimentAst, bindings: Mapping[str, float] | None = None
     if unknown:
         raise _semantic(1, 1, f"unknown parameter binding(s) {sorted(unknown)}")
     space, initial = _layout(ast)
-    return experiment.Pipeline(space, initial, tuple(
-        _stage(d, key, bindings) for d, key in _stage_directives(ast)))
-
-
-def _swept_stage(d: Directive, key: str | None, parameter: str) -> experiment.SweptStage:
-    """A phase or open-eraser directive that names `parameter`, as a swept
-    stage; its template is the stage at phase 0 or eta 1, which every file
-    accepts."""
-    def build(value: float) -> experiment.Stage:
-        return _stage(d, key, {parameter: value})
-
-    if isinstance(d, PhaseStage):
-        path = _PATH_TO_DIRECTION[d.path]
-        return experiment.SweptStage(
-            build(0.0), build,
-            lambda values: (components.phase_shifter_stack(values, path),))
-
-    def stack(values):
-        # One Kraus pair per value, so a bad eta raises where `build` would.
-        pairs = [build(v).kraus for v in values.tolist()]
-        return (np.stack([p.k_abs.matrix for p in pairs]),
-                np.stack([p.k_noabs.matrix for p in pairs]))
-    return experiment.SweptStage(build(1.0), build, stack)
+    return experiment.Pipeline(space, initial, _stages(
+        ast, lambda d, key: d.stage(key, bindings)))
 
 
 def sweep_template(ast: ExperimentAst, parameter: str) -> experiment.PipelineFamily:
@@ -561,6 +544,6 @@ def sweep_template(ast: ExperimentAst, parameter: str) -> experiment.PipelineFam
                               f"of this file (free: {list(free) or 'none'})")
     _require_valid(ast)
     space, initial = _layout(ast)
-    return experiment.PipelineFamily(space, initial, tuple(
-        _swept_stage(d, key, parameter) if _parameter(d) == parameter
-        else _stage(d, key, {}) for d, key in _stage_directives(ast)))
+    return experiment.PipelineFamily(space, initial, _stages(
+        ast, lambda d, key: d.swept(key, parameter) if d.param == parameter
+        else d.stage(key, {})))

@@ -94,6 +94,7 @@ class Unitary:
 
     op: LinearMap
     targets: tuple[str, ...]
+    record_key = None            # a unitary records no outcome
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,12 +439,6 @@ def _label_places(axis: int, dims: tuple[int, ...]) -> np.ndarray:
     return places
 
 
-def _record_key(stage: Stage) -> str | None:
-    if isinstance(stage, (ProjectiveMeasure, GeneralizedMeasure, Detect)):
-        return stage.record_key
-    return None
-
-
 class Level(NamedTuple):
     """One measurement level of `_branch_tree`'s walk.
 
@@ -538,7 +533,7 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     levels: list[Level] = []
     for stage in stages:
         stage, local = stage if isinstance(stage, tuple) else (stage, None)
-        key, (outcomes, mats) = _record_key(stage), _stage_operators(stage, space, local)
+        key, (outcomes, mats) = stage.record_key, _stage_operators(stage, space, local)
         if local is not None and len(amps) > points:
             mats = mats[_ancestry(levels, np.arange(len(amps)))[1]]
         if key is None:

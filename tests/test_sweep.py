@@ -115,7 +115,7 @@ def test_family_builds_the_compiled_pipeline():
         assert np.array_equal(built.initial.amps, compiled.initial.amps)
         assert [type(s) for s in built.stages] == [type(s) for s in compiled.stages]
         for a, b in zip(built.stages, compiled.stages):
-            assert exp._record_key(a) == exp._record_key(b)
+            assert a.record_key == b.record_key
             outcomes_a, mats_a = exp._stage_operators(a, built.space)
             outcomes_b, mats_b = exp._stage_operators(b, compiled.space)
             assert outcomes_a == outcomes_b
