@@ -68,6 +68,12 @@ def commands() -> list[list[str]]:
                 "--steps", "4", "--format", "json"])
     out.append(["sweep", ETA_FILE, "--param", "eta", "--from", "0.25", "--to", "1.25",
                 "--steps", "4", "--format", "json", "--given", "abs=yes"])
+    # A bad value after valid ones exits 1; with --given ww=A the valid
+    # point 0.5 before it has P(given) = 0, and that error comes first (exit 3).
+    out.append(["sweep", ETA_FILE, "--param", "eta", "--from", "0.5", "--to", "2",
+                "--steps", "4", "--format", "json"])
+    out.append(["sweep", ETA_FILE, "--param", "eta", "--from", "0.5", "--to", "2",
+                "--steps", "4", "--format", "json", "--given", "ww=A"])
     # Shot counts that cross sampling block boundaries, the largest seed,
     # and a 128-leaf tree.
     out.append(["run", "experiments/whichway_readout.mzx", "--shots", "100003",
