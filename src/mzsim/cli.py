@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import dsl, experiment, rng
@@ -136,23 +135,6 @@ def _load(path: str) -> tuple[dsl.ExperimentAst, str]:
     return ast, hashlib.sha256(raw).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
-class RunReport:
-    """Everything one `run` invocation produced, ready for rendering."""
-
-    meta: dict
-    branches: list[dict]
-    conditionals: list[dict]
-    visibility: float | None = field(default=None)
-
-    def to_json(self) -> str:
-        obj = {"meta": self.meta, "branches": self.branches,
-               "conditionals": self.conditionals}
-        if self.visibility is not None:
-            obj["visibility"] = self.visibility
-        return json.dumps(obj, indent=2) + "\n"
-
-
 def _conditional_rows(records: Sequence[experiment.Record], weights: Sequence[float],
                       given: dict[str, str], message: str) -> list[dict]:
     """P(detector=X | given) and P(detector=Y | given) from the leaves'
@@ -200,43 +182,43 @@ def cmd_run(args) -> int:
         conditionals = _conditional_rows(list(hist.counts), list(hist.counts.values()), given,
                                          "conditioning event never occurred")
 
-    report = RunReport(meta, branches, conditionals)
-    _emit_run(report, args.format)
+    _emit_run(meta, branches, conditionals, args.format)
     return EXIT_OK
 
 
-def _emit_run(report: RunReport, fmt: str):
+def _emit_run(meta: dict, branches: list[dict], conditionals: list[dict], fmt: str):
     if fmt == "json":
-        sys.stdout.write(report.to_json())
+        obj = {"meta": meta, "branches": branches, "conditionals": conditionals}
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
         return
-    sampled = report.meta["mode"] == "sampled"
+    sampled = meta["mode"] == "sampled"
     if fmt == "csv":
         lines = ["kind,label,value"]
-        lines.append(f"meta,mode,{report.meta['mode']}")
-        lines.append(f"meta,file_sha256,{report.meta['sha256']}")
+        lines.append(f"meta,mode,{meta['mode']}")
+        lines.append(f"meta,file_sha256,{meta['sha256']}")
         if sampled:
-            lines.append(f"meta,seed,{report.meta['seed']}")
-            lines.append(f"meta,shots,{report.meta['shots']}")
-        for row in report.branches:
+            lines.append(f"meta,seed,{meta['seed']}")
+            lines.append(f"meta,shots,{meta['shots']}")
+        for row in branches:
             label = _record_label(tuple(row["record"].items()))
             value = row["count"] if sampled else _fmt(row["probability"])
             lines.append(f"branch,{label},{value}")
-        for row in report.conditionals:
+        for row in conditionals:
             lines.append(f"conditional,{row['query']},{_fmt(row['value'])}")
         sys.stdout.write("\n".join(lines) + "\n")
         return
     # table
     lines = []
-    for row in report.branches:
+    for row in branches:
         label = _record_label(tuple(row["record"].items())) or "(none)"
         if sampled:
             lines.append(f"{label}  {row['count']}  ({row['frequency']:.10g})")
         else:
             lines.append(f"{label}  {row['probability']:.10g}")
-    for row in report.conditionals:
+    for row in conditionals:
         lines.append(f"{row['query']}  {row['value']:.10g}")
     if sampled:
-        lines.append(f"seed: {report.meta['seed']}  shots: {report.meta['shots']}")
+        lines.append(f"seed: {meta['seed']}  shots: {meta['shots']}")
     sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -275,28 +257,28 @@ def cmd_sweep(args) -> int:
             row["given_x"] = p.cond_x
             row["given_y"] = p.cond_y
         rows.append(row)
-    report = RunReport(meta, rows, [], visibility=result.visibility)
-    _emit_sweep(report, args.format, conditioned=bool(given))
+    _emit_sweep(meta, rows, result.visibility, args.format, conditioned=bool(given))
     return EXIT_OK
 
 
-def _emit_sweep(report: RunReport, fmt: str, conditioned: bool):
+def _emit_sweep(meta: dict, rows: list[dict], visibility: float, fmt: str, conditioned: bool):
     if fmt == "json":
-        sys.stdout.write(report.to_json())
+        obj = {"meta": meta, "branches": rows, "conditionals": [], "visibility": visibility}
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
         return
     columns = ["value", "prob_x", "prob_y"] + \
         (["given_x", "given_y"] if conditioned else [])
     if fmt == "csv":
         lines = [",".join(columns)]
-        for row in report.branches:
+        for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
-        lines.append(f"visibility,{_fmt(report.visibility)}")
+        lines.append(f"visibility,{_fmt(visibility)}")
         sys.stdout.write("\n".join(lines) + "\n")
         return
     lines = ["  ".join(columns)]
-    for row in report.branches:
+    for row in rows:
         lines.append("  ".join(f"{row[c]:.10g}" for c in columns))
-    lines.append(f"visibility: {report.visibility:.10g}")
+    lines.append(f"visibility: {visibility:.10g}")
     sys.stdout.write("\n".join(lines) + "\n")
 
 
