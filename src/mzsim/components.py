@@ -149,8 +149,10 @@ class EraserKrausPair:
 
     `k_abs` absorbs the photon (eraser gamma -> epsilon, photon -> vac),
     `k_noabs` is the complementary no-click evolution; together they are
-    trace-preserving: k_abs†k_abs + k_noabs†k_noabs = I.  `_lifted` memoizes
-    the pair's full-space (2, d, d) stacks, as `LinearMap._lifted` does.
+    trace-preserving: k_abs†k_abs + k_noabs†k_noabs = I.  `_lifted` is the
+    memo in which `experiment.GeneralizedMeasure.operators` keeps the pair's
+    full-space (2, d, d) stack per (axes, dims), as a unitary stage keeps its
+    map's in `LinearMap._lifted`.
     """
 
     k_abs: LinearMap

@@ -237,7 +237,7 @@ class PhaseStage(_Directive):
             return self.stage(key, {parameter: value})
         path = _PATH_TO_DIRECTION[self.path]
         return experiment.SweptStage(
-            build(0.0), build, lambda values: (components.phase_shifter_stack(values, path),))
+            build(0.0), build, lambda values: components.phase_shifter_stack(values, path)[:, None])
 
 
 @dataclass(frozen=True)
@@ -308,10 +308,14 @@ class EraserStage(_Directive):
             return self.stage(key, {parameter: value})
 
         def stack(values):
-            # One Kraus pair per value, so a bad eta raises where `build` would.
-            pairs = [build(v).kraus for v in values.tolist()]
-            return (np.stack([p.k_abs.matrix for p in pairs]),
-                    np.stack([p.k_noabs.matrix for p in pairs]))
+            # The Kraus pairs of the values before the first that `build` rejects.
+            mats = []
+            for value in values.tolist():
+                try:
+                    mats.append(build(value).local())
+                except ParseError:
+                    break
+            return np.array(mats)
         return experiment.SweptStage(build(1.0), build, stack)
 
 
@@ -446,7 +450,7 @@ def validate(ast: ExperimentAst) -> list[ParseError]:
         if cand not in seen_params and seen_params:
             problems.append(_semantic(d.line, 1,
                                       "at most one free parameter allowed "
-                                      f"(already have {sorted(seen_params)[0]!r})"))
+                                      f"(already have {ast.free_parameters[0]!r})"))
         seen_params.add(cand)
     return problems
 

@@ -27,18 +27,24 @@ left-to-right loop's bit for bit, and it calls each predicate once per
 distinct record.  The walk drops leaves below PRUNE_PROB and counts the
 probability they held (`pruned`), so the sum check reads kept + pruned.
 
-A stage costs what its structure needs.  A projective measurement or the
-detectors select: each amplitude is copied to the outcome its label names,
-by a cached index array per (axis, dims), with no arithmetic.  Unitary and
-Kraus stages are dense matrix products with their lifted stacks, diagonal
-phases included, because the stored outputs pin the bits of those BLAS
-products and an elementwise product rounds differently (see `_branch_tree`).
+Each stage kind checks and applies itself: `Stage.problem` is its
+validation message and `Stage.operators` what the walk applies, so neither
+`validate_stages` nor `_branch_tree` branches on kind.  A stage costs what
+its structure needs.  A projective measurement or the detectors (a
+projective measurement of the direction) select: each amplitude is copied
+to the outcome its label names, by a cached index array per (axis, dims),
+with no arithmetic.  Unitary and Kraus stages (`_Product`) are dense matrix
+products with their lifted stacks, diagonal phases included, because the
+stored outputs pin the bits of those BLAS products and an elementwise
+product rounds differently (see `_branch_tree`).
 
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
 `dsl.sweep_template` returns) runs as a batch: `_branch_tree` walks a forest
 of one root row per grid point, up to SWEEP_CHUNK of them, with its swept
 stages stacked over those points, so each point's leaves and sums are
-`run_analytic`'s bit for bit.  Any other pipeline builder runs point by
+`run_analytic`'s bit for bit.  A chunk is walked up to the first value a
+swept stage rejects, and the family at that value then raises the error
+the point-by-point loop would.  Any other pipeline builder runs point by
 point through `run_analytic`, the reference the batch is tested against.
 
 Branch records map a per-stage record key ("ww", "abs", "detector") to an
@@ -88,45 +94,142 @@ class ZeroProbabilityEventError(ValueError):
     """Conditioning on an event that has zero probability."""
 
 
+class Stage:
+    """One step of a pipeline.  Each kind answers for itself:
+
+    - `problem(space)`: why the stage cannot act on `space`, or None;
+    - `operators(space, local=None)`: what `_branch_tree` applies, its
+      outcome labels (None for a unitary's one branch) and either its
+      read-only (branches, d, d) matrix stack (`_Product`) or the (d,)
+      places of the amplitudes among its outcomes (`ProjectiveMeasure`).
+
+    `record_key` names the stage's outcomes in a record, None if it records
+    none; `terminal` marks the detectors, which must end a pipeline.
+    """
+
+    terminal = False
+
+
+class _Product(Stage):
+    """A stage applied as dense matrix products, one per outcome, with the
+    full-space stack of its local matrices (`local()`) on its `targets`.
+
+    The fixed stack is lifted at most once per (axes, dims) into the memo
+    (`_lifted`) of the operator that owns the matrices (`_owner`); shared
+    components are one object per process, so every pipeline and walk that
+    uses them reads the same array.  A swept stage's `local` matrices at G
+    grid points (`SweptStage.stack`, in `local()`'s order) give a
+    (G, branches, d, d) stack instead, lifted anew on every call.
+    """
+
+    def problem(self, space: SpaceSpec) -> str | None:
+        """None if the operator's space is `space.restricted(targets)`: the
+        targets are its subsystem names, which are distinct, and each of its
+        subsystems is one of `space`'s.  Only a failing check builds the
+        restricted space, to word the problem as `restricted` does."""
+        own = self._owner.space
+        if own.names == tuple(self.targets) and all(
+                sub in space.subsystems for sub in own.subsystems):
+            return None
+        try:
+            space.restricted(self.targets)
+        except ValueError as exc:
+            return str(exc)
+        return f"{self._what} does not match targets {self.targets}"
+
+    def operators(self, space: SpaceSpec, local: np.ndarray | None = None
+                  ) -> tuple[list[str | None], np.ndarray]:
+        axes = tuple(map(space.axis, self.targets))
+        if local is None:
+            return list(self.outcomes), self._lifted_stack(axes, space.dims)
+        return list(self.outcomes), lift(local, axes, space.dims)
+
+    def _lifted_stack(self, axes: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+        memo = self._owner._lifted
+        stack = memo.get((axes, dims))
+        if stack is None:
+            stack = memo[axes, dims] = lift(np.array(self.local()), axes, dims)
+            stack.setflags(write=False)
+        return stack
+
+
 @dataclass(frozen=True, eq=False)
-class Unitary:
+class Unitary(_Product):
     """Apply a unitary to the named target subsystems (identity elsewhere)."""
 
     op: LinearMap
     targets: tuple[str, ...]
     record_key = None            # a unitary records no outcome
+    outcomes = (None,)
+    _what = "operator"
+    _owner = property(attrgetter("op"))
+
+    def local(self) -> tuple[np.ndarray]:
+        return (self.op.matrix,)
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectiveMeasure:
+class GeneralizedMeasure(_Product):
+    """Two-outcome Kraus measurement; records "yes" (absorbed) or "no"."""
+
+    kraus: EraserKrausPair
+    targets: tuple[str, ...]
+    record_key: str
+    outcomes = ("yes", "no")
+    _what = "Kraus pair"
+    _owner = property(attrgetter("kraus"))
+
+    def local(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.kraus.k_abs.matrix, self.kraus.k_noabs.matrix
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectiveMeasure(Stage):
     """Measure one subsystem in its basis and record the outcome.
 
     `outcome_names` optionally renames basis labels in the record (the
-    which-way readout records direction x as "A" and y as "B").
+    which-way readout records direction x as "A" and y as "B").  The stage
+    selects: its operators are the (d,) places of the amplitudes among its
+    outcomes (`_label_places`), not a matrix stack.
     """
 
     subsystem: str
     record_key: str
     outcome_names: Mapping[str, str] | None = field(default=None)
 
+    def problem(self, space: SpaceSpec) -> str | None:
+        """None if the subsystem is `space`'s and its outcomes all record a
+        different name."""
+        if self.subsystem not in space.names:
+            return f"unknown subsystem {self.subsystem!r}"
+        first: dict[str, str] = {}
+        for label in space.subsystem(self.subsystem).labels:
+            name = (self.outcome_names or {}).get(label, label)
+            if name in first:
+                return (f"outcomes {first[name]!r} and {label!r} both record the name "
+                        f"{name!r}")
+            first[name] = label
+        return None
+
+    def operators(self, space: SpaceSpec, local: None = None
+                  ) -> tuple[list[str], np.ndarray]:
+        axis, names = space.axis(self.subsystem), self.outcome_names or {}
+        outcomes = [names.get(label, label) for label in space.subsystems[axis].labels]
+        return outcomes, _label_places(axis, space.dims)
+
 
 @dataclass(frozen=True, eq=False)
-class GeneralizedMeasure:
-    """Two-outcome Kraus measurement; records "yes" (absorbed) or "no"."""
-
-    kraus: EraserKrausPair
-    targets: tuple[str, ...]
-    record_key: str
-
-
-@dataclass(frozen=True, eq=False)
-class Detect:
+class Detect(ProjectiveMeasure):
     """Terminal detectors on the direction subsystem: outcomes X and Y."""
 
+    subsystem: str = field(default="direction", init=False)
     record_key: str = field(default="detector")
+    outcome_names: Mapping[str, str] | None = field(
+        default_factory=lambda: {"x": "X", "y": "Y"}, init=False)
+    terminal = True
 
-
-Stage = Unitary | ProjectiveMeasure | GeneralizedMeasure | Detect
+    def problem(self, space: SpaceSpec) -> str | None:
+        return None if "direction" in space.names else "no direction subsystem to detect"
 
 
 def unitary_on(op: LinearMap, targets: Sequence[str] | None = None) -> Unitary:
@@ -158,73 +261,20 @@ def validate_stages(space: SpaceSpec, initial: StateVector,
     elif not initial.normalized:
         problems.append("initial state must be normalized")
 
-    detect_positions = [i for i, s in enumerate(stages) if isinstance(s, Detect)]
+    detect_positions = [i for i, s in enumerate(stages) if s.terminal]
     if len(detect_positions) != 1:
         problems.append(f"expected exactly one detect stage, found {len(detect_positions)}")
     elif detect_positions[0] != len(stages) - 1:
         problems.append("detect must be the final stage")
 
-    keys = []
     for i, stage in enumerate(stages):
-        where = f"stage {i + 1}"
-        if isinstance(stage, Unitary):
-            problem = _targets_problem(space, stage.targets, stage.op.space, "operator")
-            if problem:
-                problems.append(f"{where}: {problem}")
-        elif isinstance(stage, ProjectiveMeasure):
-            keys.append(stage.record_key)
-            if stage.subsystem not in space.names:
-                problems.append(f"{where}: unknown subsystem {stage.subsystem!r}")
-            else:
-                problem = _outcome_names_problem(space.subsystem(stage.subsystem).labels,
-                                                 stage.outcome_names or {})
-                if problem:
-                    problems.append(f"{where}: {problem}")
-        elif isinstance(stage, GeneralizedMeasure):
-            keys.append(stage.record_key)
-            problem = _targets_problem(space, stage.targets, stage.kraus.space, "Kraus pair")
-            if problem:
-                problems.append(f"{where}: {problem}")
-        elif isinstance(stage, Detect):
-            keys.append(stage.record_key)
-            if "direction" not in space.names:
-                problems.append(f"{where}: no direction subsystem to detect")
+        problem = stage.problem(space)
+        if problem:
+            problems.append(f"stage {i + 1}: {problem}")
+    keys = [s.record_key for s in stages if s.record_key is not None]
     if len(set(keys)) != len(keys):
         problems.append(f"record keys must be unique, got {keys}")
     return problems
-
-
-def _targets_problem(space: SpaceSpec, targets: tuple[str, ...], op_space: SpaceSpec,
-                     what: str) -> str | None:
-    """Why an operator on `op_space` cannot act on `targets` of `space`, or
-    None if `op_space` is `space.restricted(targets)`.
-
-    The targets must be the operator's subsystem names, which are distinct,
-    and each of those subsystems must be one of `space`'s.  Only a failing
-    check builds the restricted space, to word the problem as `restricted`
-    does.
-    """
-    if op_space.names == tuple(targets) and all(
-            sub in space.subsystems for sub in op_space.subsystems):
-        return None
-    try:
-        space.restricted(targets)
-    except Exception as exc:
-        return str(exc)
-    return f"{what} does not match targets {targets}"
-
-
-def _outcome_names_problem(labels: tuple[str, ...], names: Mapping[str, str]) -> str | None:
-    """Why a projective measurement's outcomes would not all record a
-    different name, or None if they do."""
-    first: dict[str, str] = {}
-    for label in labels:
-        name = names.get(label, label)
-        if name in first:
-            return (f"outcomes {first[name]!r} and {label!r} both record the name "
-                    f"{name!r}")
-        first[name] = label
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,15 +282,15 @@ class SweptStage:
     """A stage that the swept parameter sets.
 
     `template` is the stage at one valid value; it fixes the stage's kind,
-    targets and record key.  `build(value)` is the stage at `value`, and
-    `stack(values)` gives its local matrices at every value, in the order
-    `_stage_operators` lists them for `template`, as (len(values), k, k)
-    arrays.
+    targets and record key.  `build(value)` is the stage at `value`.
+    `stack(values)` is `build(value).local()` at the leading n values that
+    `build` accepts, all of them or those before the first it rejects, as
+    one (n, branches, k, k) array.
     """
 
-    template: Stage
-    build: Callable[[float], Stage]
-    stack: Callable[[np.ndarray], Sequence[np.ndarray]]
+    template: _Product
+    build: Callable[[float], _Product]
+    stack: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,50 +430,6 @@ def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> f
     return joint / p_given
 
 
-def _stage_operators(stage: Stage, space: SpaceSpec, local: Sequence[np.ndarray] | None = None
-                     ) -> tuple[list[str | None], np.ndarray]:
-    """Outcome label per branch (None = unitary) and the branches' read-only
-    full-space operators.
-
-    A unitary or a Kraus pair gives its (branches, d, d) matrix stack, lifted
-    at most once per (axes, dims) into its operator's memo (`_lifted`);
-    shared components are one object per process, so every pipeline and
-    walk that uses them reads the same array.  Given a swept stage's `local`
-    matrices at G grid points (`SweptStage.stack`, in this branch order), the
-    stack is theirs, (G, branches, d, d), lifted anew on every call.  A
-    projective measurement or the detectors give the (d,) places of the
-    amplitudes among their outcomes instead (`_label_places`)."""
-    if isinstance(stage, (ProjectiveMeasure, Detect)):
-        subsystem, names = ((stage.subsystem, stage.outcome_names or {})
-                            if isinstance(stage, ProjectiveMeasure) else
-                            ("direction", {"x": "X", "y": "Y"}))
-        axis = space.axis(subsystem)
-        outcomes = [names.get(label, label) for label in space.subsystems[axis].labels]
-        return outcomes, _label_places(axis, space.dims)
-    if not isinstance(stage, (Unitary, GeneralizedMeasure)):
-        raise TypeError(f"unknown stage {stage!r}")
-    owner, outcomes = ((stage.op, [None]) if isinstance(stage, Unitary) else
-                       (stage.kraus, ["yes", "no"]))
-    axes = tuple(map(space.axis, stage.targets))
-    if local is None:
-        return outcomes, _lift_once(owner, axes, space.dims)
-    return outcomes, lift(np.array(local).swapaxes(0, 1), axes, space.dims)
-
-
-def _lift_once(owner: LinearMap | EraserKrausPair, axes: tuple[int, ...],
-               dims: tuple[int, ...]) -> np.ndarray:
-    """The read-only full-space stack of a unitary's matrix, (1, d, d), or of
-    a Kraus pair's [k_abs, k_noabs], (2, d, d), at (axes, dims): lifted on
-    the first call and kept in the operator's `_lifted` memo after."""
-    stack = owner._lifted.get((axes, dims))
-    if stack is None:
-        mats = (owner.matrix[None] if isinstance(owner, LinearMap) else
-                np.array([owner.k_abs.matrix, owner.k_noabs.matrix]))
-        stack = owner._lifted[axes, dims] = lift(mats, axes, dims)
-        stack.setflags(write=False)
-    return stack
-
-
 @lru_cache(maxsize=32)
 def _label_places(axis: int, dims: tuple[int, ...]) -> np.ndarray:
     """Where a projective measurement of the subsystem at `axis`, in a space
@@ -495,7 +501,7 @@ def _ancestry(levels: list[Level], rows: np.ndarray) -> tuple[list[np.ndarray], 
 
 
 def _branch_tree(space: SpaceSpec, initial: StateVector,
-                 stages: Sequence[Stage | tuple[Stage, Sequence[np.ndarray]]],
+                 stages: Sequence[Stage | tuple[Stage, np.ndarray]],
                  points: int = 1) -> BranchTree:
     """Breadth-first exact evolution of every measurement branch, at each of
     `points` grid points.
@@ -533,7 +539,7 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     levels: list[Level] = []
     for stage in stages:
         stage, local = stage if isinstance(stage, tuple) else (stage, None)
-        key, (outcomes, mats) = stage.record_key, _stage_operators(stage, space, local)
+        key, (outcomes, mats) = stage.record_key, stage.operators(space, local)
         if local is not None and len(amps) > points:
             mats = mats[_ancestry(levels, np.arange(len(amps)))[1]]
         if key is None:
@@ -700,20 +706,25 @@ def visibility(probs: Sequence[float]) -> float:
 
 
 def _swept_points(family: PipelineFamily, grid: Sequence[float],
-                  given: Predicate | None) -> list[SweepPoint] | None:
+                  given: Predicate | None) -> list[SweepPoint]:
     """`sweep`'s points from one `_branch_tree` walk per SWEEP_CHUNK grid
-    points, or None if a swept stage rejects a grid value."""
+    points.  A chunk walks its values up to the first that a swept stage
+    rejects; `family` at that value then raises what the point-by-point
+    loop would, after any error of an earlier point."""
     points: list[SweepPoint] = []
     for start in range(0, len(grid), SWEEP_CHUNK):
         chunk = grid[start:start + SWEEP_CHUNK]
         values = np.asarray(chunk, dtype=np.float64)
-        try:
-            stages = [(s.template, s.stack(values)) if isinstance(s, SweptStage) else s
-                      for s in family.stages]
-        except Exception:  # whatever `SweptStage.stack` raises for the value
-            return None
-        tree = _branch_tree(family.space, family.initial, stages, len(chunk))
-        points += _chunk_points(tree, chunk, given)
+        stacks = [s.stack(values) if isinstance(s, SweptStage) else None for s in family.stages]
+        n = min((len(local) for local in stacks if local is not None), default=len(chunk))
+        if n:
+            stages = [s if local is None else (s.template, local[:n])
+                      for s, local in zip(family.stages, stacks)]
+            tree = _branch_tree(family.space, family.initial, stages, n)
+            points += _chunk_points(tree, chunk[:n], given)
+        if n < len(chunk):
+            family(chunk[n])
+            raise RuntimeError(f"a swept stage rejected {chunk[n]!r}, which the family accepts")
     return points
 
 
@@ -770,17 +781,18 @@ def sweep(build: Callable[[float], Pipeline], parameter: str,
 
     The visibility is computed from Prob{X} per point, conditioned on
     `given` when provided.  A `PipelineFamily` runs as a batch, one
-    `_branch_tree` walk per SWEEP_CHUNK grid points, with the results of the
-    loop below bit for bit.  Any other callable, and a family with a grid
-    value that a swept stage rejects, runs point by point in grid order, so
-    errors surface at the first point that raises them.
+    `_branch_tree` walk per SWEEP_CHUNK grid points, with the results and
+    errors of the loop below bit for bit.  Any other callable runs point by
+    point in grid order, so errors surface at the first point that raises
+    them.
     """
     if len(grid) == 0:
         raise ValueError("sweep grid must not be empty")
     if not all(map(math.isfinite, grid)):
         raise ValueError("sweep grid contains non-finite values")
-    points = _swept_points(build, grid, given) if isinstance(build, PipelineFamily) else None
-    if points is None:
+    if isinstance(build, PipelineFamily):
+        points = _swept_points(build, grid, given)
+    else:
         points = []
         for value in grid:
             dist = run_analytic(build(value))

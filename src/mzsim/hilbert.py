@@ -20,10 +20,10 @@ A unitary diagonal map, such as a phase shifter, is built by
 |z|^2 = 1 in O(d) where the general constructor forms M†M.
 
 The one mutable part is a memo: a `LinearMap`'s `_lifted` dict (and a
-`components.EraserKrausPair`'s) holds the read-only stacks that
-`experiment._stage_operators` lifted the map to, keyed by the int tuples
-(axes, dims), so a map shared by many pipelines is lifted once per space
-layout.  It cannot go stale: the matrix is read-only from construction and
+`components.EraserKrausPair`'s) holds the read-only stacks that the
+`operators` of a unitary or Kraus stage in `experiment` lifted the map to,
+keyed by the int tuples (axes, dims), so a map shared by many pipelines is
+lifted once per space layout.  It cannot go stale: the matrix is read-only from construction and
 the map is frozen, so the same (axes, dims) always lifts to the same bytes.
 It takes no part in equality or repr and dies with its map.
 

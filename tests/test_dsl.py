@@ -267,6 +267,15 @@ class TestCompile:
         assert len(problems) >= 3
         assert all(isinstance(p, ParseError) for p in problems)
 
+    def test_extra_parameters_name_the_files_first(self):
+        # One diagnostic per new parameter, each naming the file's first
+        # parameter, not the alphabetically first one seen so far.
+        src = "source A\nphase A zeta\nphase B theta\nphase A alpha\nphase B theta\ndetect\n"
+        problems = dsl.validate(parse(tokenize(src)))
+        assert [(p.line, p.message) for p in problems] == [
+            (3, "at most one free parameter allowed (already have 'zeta')"),
+            (4, "at most one free parameter allowed (already have 'zeta')")]
+
 
 #: Characters a mutation inserts: the grammar's own, line and space
 #: characters Python's `str.splitlines` treats as line breaks, and any

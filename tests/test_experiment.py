@@ -785,7 +785,7 @@ def dense_projectors(axis, dims):
 
 
 def fresh_stack(stage, space):
-    """A new lift of a stage's matrices, as `_stage_operators` lists them; a
+    """A new lift of a stage's matrices, as `stage.operators` lists them; a
     projective or detector stage's label projectors."""
     if isinstance(stage, exp.Unitary):
         targets, mats = stage.targets, stage.op.matrix[None]
@@ -799,7 +799,7 @@ def fresh_stack(stage, space):
 
 
 def assert_fresh_operators(stage, space, ops):
-    """`ops`, a stage's operators from `_stage_operators`, are read-only and
+    """`ops`, a stage's operators from `stage.operators`, are read-only and
     equal a new lift: a matrix stack byte for byte, or, for a projective or
     detector stage, places of the amplitudes among the outcomes that mark
     the diagonals of the lifted label projectors, whose off-diagonal entries
@@ -820,12 +820,12 @@ def assert_fresh_operators(stage, space, ops):
 
 
 def lift_every_stage_fresh(monkeypatch):
-    """Replace the memo lookups of `_stage_operators` by new lifts, and a
+    """Replace the memo lookups of `stage.operators` by new lifts, and a
     projective stage's places by its dense projector stack, which the walk
     then applies by matrix product."""
-    monkeypatch.setattr(exp, "_lift_once", lambda owner, axes, dims: hilbert.lift(
-        owner.matrix[None] if isinstance(owner, hilbert.LinearMap) else
-        np.array([owner.k_abs.matrix, owner.k_noabs.matrix]), axes, dims))
+    monkeypatch.setattr(exp._Product, "_lifted_stack", lambda stage, axes, dims: hilbert.lift(
+        stage.op.matrix[None] if isinstance(stage, exp.Unitary) else
+        np.array([stage.kraus.k_abs.matrix, stage.kraus.k_noabs.matrix]), axes, dims))
     monkeypatch.setattr(exp, "_label_places", dense_projectors)
 
 
@@ -846,8 +846,8 @@ class TestLiftMemo:
     def test_stage_stacks_are_read_only_fresh_lifts(self, which):
         pipeline = memo_pipeline(which)
         for stage in pipeline.stages:
-            outcomes, stack = exp._stage_operators(stage, pipeline.space)
-            assert exp._stage_operators(stage, pipeline.space)[1] is stack
+            outcomes, stack = stage.operators(pipeline.space)
+            assert stage.operators(pipeline.space)[1] is stack
             assert_fresh_operators(stage, pipeline.space, stack)
             assert outcomes == [o for o, _ in naive_operators(stage, pipeline.space)[1]]
 
@@ -858,7 +858,7 @@ class TestLiftMemo:
                   hilbert.space_of(hilbert.atom(), hilbert.direction()))
         for stage in (unitary_on(comp.beam_splitter()), Detect(),
                       ProjectiveMeasure("direction", "ww", WW_NAMES)):
-            stacks = [exp._stage_operators(stage, space)[1] for space in spaces]
+            stacks = [stage.operators(space)[1] for space in spaces]
             assert stacks[0].tobytes() != stacks[1].tobytes()
             for space, stack in zip(spaces, stacks):
                 assert_fresh_operators(stage, space, stack)
@@ -868,8 +868,8 @@ class TestLiftMemo:
         first, second = (dsl.compile(dsl.parse_text(text)) for _ in range(2))
         assert first.space is second.space and first.initial is second.initial
         for index in (0, -1):   # the beam splitter's stack, the detectors' places
-            assert exp._stage_operators(first.stages[index], first.space)[1] is \
-                exp._stage_operators(second.stages[index], second.space)[1]
+            assert first.stages[index].operators(first.space)[1] is \
+                second.stages[index].operators(second.space)[1]
 
     def test_label_places_are_shared_across_pipelines(self):
         # Every projective stage on one (axis, dims) reads one array: the
@@ -877,7 +877,7 @@ class TestLiftMemo:
         pipelines = [dsl.compile(dsl.parse_text(text)) for text in (
             READOUT_TREE.read_text(), (EXPERIMENTS_DIR / "whichway_readout.mzx").read_text(),
             "source B\nwwreadout\nbeamsplitter\ndetect\n")]
-        places = {id(exp._stage_operators(stage, p.space)[1]) for p in pipelines
+        places = {id(stage.operators(p.space)[1]) for p in pipelines
                   for stage in p.stages if isinstance(stage, (ProjectiveMeasure, Detect))}
         assert len(places) == 1
 
@@ -952,3 +952,16 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert asserts == [], f"{path.name}: assert at lines {asserts}"
+
+
+def test_package_has_no_broad_except():
+    # Each handler names the errors it expects, so a fault elsewhere is not
+    # caught as one of them.
+    package = Path(exp.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        broad = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ExceptHandler) and (node.type is None or any(
+                     isinstance(name, ast.Name) and name.id in ("Exception", "BaseException")
+                     for name in getattr(node.type, "elts", [node.type])))]
+        assert broad == [], f"{path.name}: broad except at lines {broad}"

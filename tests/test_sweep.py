@@ -116,8 +116,8 @@ def test_family_builds_the_compiled_pipeline():
         assert [type(s) for s in built.stages] == [type(s) for s in compiled.stages]
         for a, b in zip(built.stages, compiled.stages):
             assert a.record_key == b.record_key
-            outcomes_a, mats_a = exp._stage_operators(a, built.space)
-            outcomes_b, mats_b = exp._stage_operators(b, compiled.space)
+            outcomes_a, mats_a = a.operators(built.space)
+            outcomes_b, mats_b = b.operators(compiled.space)
             assert outcomes_a == outcomes_b
             assert np.array_equal(mats_a, mats_b)
 
@@ -173,9 +173,48 @@ def test_batch_neither_compiles_nor_walks_per_point(monkeypatch):
     assert walked == [2, 2, 1]
 
 
+def test_a_rejected_value_neither_falls_back_nor_rewalks(monkeypatch):
+    # The values before the rejected 1.5 are walked once, as one batch, and
+    # then 1.5 raises its own error; no point runs through `run_analytic`.
+    ast = dsl.parse_text((ROOT / "tests" / "golden" / "eraser_eta.mzx").read_text())
+    family = dsl.sweep_template(ast, "eta")
+    walk, walked = exp._branch_tree, []
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fell back to the point-by-point loop")
+
+    def counted(space, initial, stages, points=1):
+        walked.append(points)
+        return walk(space, initial, stages, points)
+
+    monkeypatch.setattr(exp, "run_analytic", forbidden)
+    monkeypatch.setattr(exp, "_branch_tree", counted)
+    with pytest.raises(dsl.ParseError, match=r"eta must lie in \(0, 1\], got 1\.5"):
+        sweep(family, "eta", [0.5, 0.75, 1.5])
+    assert walked == [2]
+    # A chunk that a value does not reach is never walked; one it ends is
+    # walked up to it.
+    monkeypatch.setattr(exp, "SWEEP_CHUNK", 2)
+    walked.clear()
+    with pytest.raises(dsl.ParseError, match=r"got 1\.5"):
+        sweep(family, "eta", [0.5, 0.75, 1.0, 1.5, 0.25, 0.5])
+    assert walked == [2, 1]
+
+
+def test_a_stack_that_stops_early_skips_no_point():
+    # A stack that stops before a value the family accepts is a fault of the
+    # stack, not a rejected value: the sweep raises rather than drop the point.
+    family = dsl.sweep_template(load("eraser_phase.mzx"), "phi")
+    short = exp.PipelineFamily(family.space, family.initial, [
+        exp.SweptStage(s.template, s.build, lambda values, s=s: s.stack(values)[:1])
+        if isinstance(s, exp.SweptStage) else s for s in family.stages])
+    with pytest.raises(RuntimeError, match="rejected 1.0, which the family accepts"):
+        sweep(short, "phi", [0.0, 1.0])
+
+
 def test_a_failing_walk_is_not_a_rejected_value(monkeypatch):
-    # Only a grid value a swept stage rejects selects the point-by-point
-    # loop; an error in the batched walk itself propagates.
+    # A family never runs point by point; an error in the batched walk
+    # itself propagates.
     family = dsl.sweep_template(load("eraser_phase.mzx"), "phi")
 
     def broken(*args, **kwargs):
