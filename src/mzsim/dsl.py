@@ -236,8 +236,8 @@ class PhaseStage(_Directive):
         def build(value):
             return self.stage(key, {parameter: value})
         path = _PATH_TO_DIRECTION[self.path]
-        return experiment.SweptStage(
-            build(0.0), build, lambda values: components.phase_shifter_stack(values, path)[:, None])
+        return experiment.SweptStage(build(0.0), build, lambda values: (
+            components.phase_shifter_stack(values, path)[:, None]))
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ class EraserStage(_Directive):
             return self.stage(key, {parameter: value})
 
         def stack(values):
-            # The Kraus pairs of the values before the first that `build` rejects.
+            # Each value's Kraus matrices, up to the first value `build` rejects.
             mats = []
             for value in values.tolist():
                 try:

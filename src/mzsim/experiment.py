@@ -203,8 +203,9 @@ class ProjectiveMeasure(Stage):
         if self.subsystem not in space.names:
             return f"unknown subsystem {self.subsystem!r}"
         first: dict[str, str] = {}
+        names = self.outcome_names or {}
         for label in space.subsystem(self.subsystem).labels:
-            name = (self.outcome_names or {}).get(label, label)
+            name = names.get(label, label)
             if name in first:
                 return (f"outcomes {first[name]!r} and {label!r} both record the name "
                         f"{name!r}")
