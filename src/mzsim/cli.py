@@ -40,8 +40,11 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_ZERO_CONDITION = 3
 EXIT_BAD_GRID = 4
-#: Most grid points `mzx sweep` takes: the grid and its results are held in
-#: memory, a few hundred bytes per point.
+#: Most grid points `mzx sweep` takes: the grid, its results and the whole
+#: output text are held in memory.  A 10**5-step sweep of
+#: experiments/eraser_phase.mzx peaked at 170 MiB of RSS in JSON and 97 MiB
+#: in CSV, against 33 MiB after the import alone (CPython 3.11, numpy 2.4,
+#: x86-64 Linux): about 1.4 KiB and 0.65 KiB per point.
 MAX_SWEEP_STEPS = 10**6
 
 

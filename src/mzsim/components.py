@@ -1,7 +1,10 @@
 """Optical elements of the interferometer and its which-way extensions.
 
-All constructors return `LinearMap`s over the canonical subsystems from
-`hilbert` (direction, photon, atom, eraser).  Path naming convention: path A
+The constructors act on the canonical subsystems from `hilbert`
+(direction, photon, atom, eraser).  Most return a `LinearMap`;
+`eraser_kraus` returns an `EraserKrausPair`, and the two stacks
+(`phase_shifter_stack`, `eraser_kraus_stack`) return the plain matrices of
+a parameterised component over an array of values, for a batched sweep.  Path naming convention: path A
 is the transmitted beam and carries direction label x between the first
 beam splitter and the mirrors; path B is the deflected beam (label y).
 """
@@ -143,33 +146,64 @@ def which_way_readout(psi: StateVector, rng_draw: float) -> tuple[str, StateVect
     return outcome, collapsed, prob
 
 
+def _checked(stack: np.ndarray) -> np.ndarray:
+    """The (n, 2, k, k) `stack` of (k_abs, k_noabs) pairs, once every pair
+    is found trace-preserving: k_abs†k_abs + k_noabs†k_noabs = I within
+    ATOL_UNITARY."""
+    k = stack.shape[-1]
+    column = stack.reshape(-1, 2 * k, k)      # k_abs over k_noabs
+    defect = np.abs(column.conj().mT @ column - np.eye(k)).max(initial=0.0)
+    if defect > ATOL_UNITARY:
+        raise ValueError(f"Kraus pair not complete: max defect {defect:.3e}")
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class EraserKrausPair:
     """Two-outcome generalized measurement for photon absorption.
 
     `k_abs` absorbs the photon (eraser gamma -> epsilon, photon -> vac),
     `k_noabs` is the complementary no-click evolution; together they are
-    trace-preserving: k_abs†k_abs + k_noabs†k_noabs = I.  `_lifted` is the
-    memo in which `experiment.GeneralizedMeasure.operators` keeps the pair's
-    full-space (2, d, d) stack per (axes, dims), as a unitary stage keeps its
-    map's in `LinearMap._lifted`.
+    trace-preserving, checked at construction as `eraser_kraus_stack`
+    checks each of its pairs.  `_lifted` is the memo in which
+    `experiment.GeneralizedMeasure.operators` keeps the pair's full-space
+    (2, d, d) stack per (axes, dims), as a unitary stage keeps its map's in
+    `LinearMap._lifted`.
     """
 
     k_abs: LinearMap
     k_noabs: LinearMap
-    eta: float
     _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total = (self.k_abs.dagger @ self.k_abs).matrix + \
-                (self.k_noabs.dagger @ self.k_noabs).matrix
-        defect = np.max(np.abs(total - np.eye(self.k_abs.space.dim)))
-        if defect > ATOL_UNITARY:
-            raise ValueError(f"Kraus pair not complete: max defect {defect:.3e}")
+        _checked(np.array([[self.k_abs.matrix, self.k_noabs.matrix]]))
 
     @property
     def space(self) -> SpaceSpec:
         return self.k_abs.space
+
+
+def _kraus_matrices(etas: np.ndarray) -> tuple[SpaceSpec, np.ndarray]:
+    """photon (x) eraser and the unchecked (len(etas), 2, 6, 6)
+    `(k_abs, k_noabs)` matrices of `eraser_kraus`'s formula at each eta."""
+    space = space_of(hilbert.photon(), hilbert.eraser())
+    coupled = np.zeros(space.dim, dtype=np.complex128)
+    coupled[[space.index_of((path, "gamma")) for path in ("A", "B")]] = SQRT_HALF
+    sink = np.zeros(space.dim, dtype=np.complex128)
+    sink[space.index_of(("vac", "epsilon"))] = 1.0
+    return space, np.stack([
+        np.sqrt(etas)[:, None, None] * np.outer(sink, coupled.conj()),
+        np.eye(space.dim) - (1.0 - np.sqrt(1.0 - etas))[:, None, None] *
+        np.outer(coupled, coupled.conj())], axis=1)
+
+
+def eraser_kraus_stack(etas: np.ndarray) -> np.ndarray:
+    """`eraser_kraus(eta)`'s `(k_abs, k_noabs)` matrices at the leading n
+    etas in (0, 1], all of them or those before the first out of range, as
+    one checked (n, 2, 6, 6) array; bit for bit the pair's matrices."""
+    etas = np.asarray(etas, dtype=np.float64)
+    bad = np.flatnonzero(~((etas > 0.0) & (etas <= 1.0)))
+    return _checked(_kraus_matrices(etas[:bad[0]] if bad.size else etas)[1])
 
 
 @lru_cache(maxsize=256)
@@ -186,7 +220,8 @@ def eraser_kraus(eta: float) -> EraserKrausPair:
         k_noabs = I - (1 - sqrt(1 - eta)) |coupled mode, gamma><...|
 
     An unabsorbed photon stays in the photon register, with only the
-    coupled-mode amplitude damped.
+    coupled-mode amplitude damped.  The matrices are `eraser_kraus_stack`'s
+    at this one eta.
 
     The cache keeps up to 256 pairs, each with the stacks it was lifted to:
     on the 24-dimensional eraser space, one (2, 24, 24) complex stack of
@@ -194,17 +229,8 @@ def eraser_kraus(eta: float) -> EraserKrausPair:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    space = space_of(hilbert.photon(), hilbert.eraser())
-
-    coupled = np.zeros(space.dim, dtype=np.complex128)
-    coupled[[space.index_of((path, "gamma")) for path in ("A", "B")]] = SQRT_HALF
-    sink = np.zeros(space.dim, dtype=np.complex128)
-    sink[space.index_of(("vac", "epsilon"))] = 1.0
-
-    k_abs = math.sqrt(eta) * np.outer(sink, coupled.conj())
-    k_noabs = np.eye(space.dim) - (1.0 - math.sqrt(1.0 - eta)) * \
-        np.outer(coupled, coupled.conj())
-    return EraserKrausPair(LinearMap(space, k_abs), LinearMap(space, k_noabs), eta=eta)
+    space, ((k_abs, k_noabs),) = _kraus_matrices(np.array([eta], dtype=np.float64))
+    return EraserKrausPair(LinearMap(space, k_abs), LinearMap(space, k_noabs))
 
 
 def embedded(op: LinearMap, space: SpaceSpec) -> LinearMap:

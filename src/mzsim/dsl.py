@@ -15,6 +15,8 @@ comment, blank lines are ignored:
 Numbers are decimals with an optional exponent and an optional `pi` suffix
 meaning multiplication by pi.  An identifier in a number position names a
 parameter that must be bound at compile time; a file may use at most one.
+One exception stands: a closed eraser compiles to no stage, so its
+`eta=<param>` is neither bound nor range-checked (a literal eta is).
 
 Validation rules: the file starts with exactly one source directive;
 detect is required, once, as the final stage; entangler appears at most
@@ -23,13 +25,14 @@ entangler are mutually exclusive.
 
 Each directive kind is one class: its keyword, how the rest of its line
 parses, its canonical text, the parameter it names, its record-key prefix
-and the stage it compiles to (a phase or an eraser also builds the stage a
+and the stage it compiles to (a phase or an eraser also gives the stack of
+its matrices over a sweep's values, from which `swept` builds the stage a
 sweep sets).  `DIRECTIVES` maps each keyword to its class, so a new kind
 takes one class and one entry there; rules that span several directives go
 in `validate`.  `tokenize`, `parse`, `validate` and `pretty_print` call
-nothing in `experiment` or `components`.  The stage builders look the
-component constructors up on `components` when they run, so a wrapper set
-on that module sees every call.
+nothing in `experiment` or `components`.  The stage and stack builders
+look the component constructors up on `components` when they run, so a
+wrapper set on that module sees every call.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import ClassVar, Mapping, NamedTuple
-
-import numpy as np
 
 from . import components, experiment, hilbert
 
@@ -141,9 +142,11 @@ class _Directive:
     """A directive kind.  `keyword` starts its line and `parse` reads the
     rest of the line; `str` prints the directive back in canonical form.
     A kind that takes a number holds it as a literal `value` or a parameter
-    name `param`, and has `swept(key, parameter)`.  A kind whose outcomes
-    are recorded gives its record keys' `record_prefix`: the kind's first
-    stage records under the prefix, later ones under prefix2, prefix3, ...
+    name `param`, and gives its stage's matrices over a grid of values as
+    `stack(values)` (as `experiment.SweptStage.stack` is) and the `default`
+    value at which `swept` builds its template.  A kind whose outcomes are
+    recorded gives its record keys' `record_prefix`: the kind's first stage
+    records under the prefix, later ones under prefix2, prefix3, ...
     `stage` is what the directive compiles to, or None for no stage."""
 
     keyword: ClassVar[str]
@@ -161,6 +164,14 @@ class _Directive:
     def stage(self, key: str | None, bindings: Mapping[str, float]
               ) -> experiment.Stage | None:
         return None
+
+    def swept(self, key: str | None, parameter: str) -> experiment.SweptStage | None:
+        """This directive over the values of `parameter`, or None if it makes
+        no stage; the template is the stage at `default`."""
+        def build(value):
+            return self.stage(key, {parameter: value})
+        template = build(self.default)
+        return None if template is None else experiment.SweptStage(template, build, self.stack)
 
     def _text(self) -> str:
         return self.param if self.param is not None else repr(self.value)
@@ -215,6 +226,7 @@ class MirrorsStage(_Directive):
 @dataclass(frozen=True)
 class PhaseStage(_Directive):
     keyword = "phase"
+    default = 0.0
     path: str            # "A" | "B"
     value: float | None
     param: str | None
@@ -231,13 +243,8 @@ class PhaseStage(_Directive):
         return experiment.unitary_on(components.phase_shifter(
             self._bound(bindings, "phase"), _PATH_TO_DIRECTION[self.path]))
 
-    def swept(self, key: str | None, parameter: str) -> experiment.SweptStage:
-        """This phase over the values of `parameter`; the template is phase 0."""
-        def build(value):
-            return self.stage(key, {parameter: value})
-        path = _PATH_TO_DIRECTION[self.path]
-        return experiment.SweptStage(build(0.0), build, lambda values: (
-            components.phase_shifter_stack(values, path)[:, None]))
+    def stack(self, values):
+        return components.phase_shifter_stack(values, _PATH_TO_DIRECTION[self.path])[:, None]
 
 
 @dataclass(frozen=True)
@@ -260,6 +267,7 @@ class EntanglerStage(_Directive):
 @dataclass(frozen=True)
 class EraserStage(_Directive):
     keyword = "eraser"
+    default = 1.0
     open: bool
     value: float | None = None     # eta; None is eta = 1
     param: str | None = None
@@ -294,29 +302,13 @@ class EraserStage(_Directive):
         if not self.open:
             return None  # closed channel: the eraser atom idles in gamma
         try:
-            kraus = components.eraser_kraus(self._bound(bindings, "eta", 1.0))
+            kraus = components.eraser_kraus(self._bound(bindings, "eta", self.default))
         except ValueError as exc:
             raise _semantic(self.line, 1, str(exc)) from None
         return experiment.GeneralizedMeasure(kraus, ("photon", "eraser"), key)
 
-    def swept(self, key: str | None, parameter: str) -> experiment.SweptStage | None:
-        """This eraser over the values of `parameter`; the template is eta 1."""
-        if not self.open:
-            return None
-
-        def build(value):
-            return self.stage(key, {parameter: value})
-
-        def stack(values):
-            # Each value's Kraus matrices, up to the first value `build` rejects.
-            mats = []
-            for value in values.tolist():
-                try:
-                    mats.append(build(value).local())
-                except ParseError:
-                    break
-            return np.array(mats)
-        return experiment.SweptStage(build(1.0), build, stack)
+    def stack(self, values):
+        return components.eraser_kraus_stack(values)
 
 
 @dataclass(frozen=True)

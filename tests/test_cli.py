@@ -89,6 +89,19 @@ class TestRun:
         assert code == 0
         assert "seed: 5  shots: 2000" in out
 
+    def test_single_shot_run(self, capsys):
+        code, out, err = run_cli(capsys, "run", path("eraser.mzx"),
+                                 "--shots", "1", "--seed", "7", "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "kind,label,value",
+            "meta,mode,sampled",
+            "meta,file_sha256,244eeb044683ab253fba70216a03c305f9dd60033ff081d49c6487824059678d",
+            "meta,seed,7",
+            "meta,shots,1",
+            "branch,abs=no detector=Y,1",
+        ]
+
     def test_sampled_run_frequency_near_half(self, capsys):
         code, out, _ = run_cli(capsys, "run", path("entangler.mzx"),
                                "--shots", "100000", "--seed", "7",

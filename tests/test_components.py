@@ -294,6 +294,53 @@ class TestEraserKraus:
         with pytest.raises(ValueError):
             comp.eraser_kraus(eta)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([1.0, 5e-324, math.nextafter(1.0, 0.0)]),
+                              st.floats(0.0, 1.0, exclude_min=True)), max_size=8))
+    def test_pair_is_the_stack_entry_bit_for_bit(self, etas):
+        stack = comp.eraser_kraus_stack(etas)
+        assert stack.shape == (len(etas), 2, 6, 6)
+        for eta, (k_abs, k_noabs) in zip(etas, stack):
+            pair = comp.eraser_kraus(eta)
+            assert pair.k_abs.matrix.tobytes() == k_abs.tobytes()
+            assert pair.k_noabs.matrix.tobytes() == k_noabs.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, math.nan, math.inf, math.nextafter(1.0, 2.0)])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_stack_stops_at_the_first_eta_out_of_range(self, bad, where):
+        good = [0.25, 1.0, 0.5, 0.75]
+        stack = comp.eraser_kraus_stack(good[:where] + [bad] + good[where:])
+        assert stack.shape == (where, 2, 6, 6)
+        assert stack.tobytes() == comp.eraser_kraus_stack(good[:where]).tobytes()
+        with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\], got "):
+            comp.eraser_kraus(bad)
+
+    def test_incomplete_pair_raises_the_completeness_message(self, monkeypatch):
+        pair = comp.eraser_kraus(0.5)
+        message = r"^Kraus pair not complete: max defect 7\.500e-01$"
+        with pytest.raises(ValueError, match=message):
+            comp.EraserKrausPair(pair.k_abs, hilbert.LinearMap(pair.space, 0.5 * pair.k_noabs.matrix))
+        formula = comp._kraus_matrices
+
+        def halve_the_last_no_click(etas):
+            space, stack = formula(etas)
+            stack[-1, 1] *= 0.5
+            return space, stack
+        monkeypatch.setattr(comp, "_kraus_matrices", halve_the_last_no_click)
+        with pytest.raises(ValueError, match=message):
+            comp.eraser_kraus_stack([0.25, 0.75, 0.5])
+        with pytest.raises(ValueError, match=message):
+            comp.eraser_kraus.__wrapped__(0.5)
+
+    def test_a_pair_is_checked_once(self, monkeypatch):
+        calls = []
+        checked = comp._checked
+        monkeypatch.setattr(comp, "_checked", lambda stack: calls.append(stack.shape)
+                            or checked(stack))
+        comp.eraser_kraus.__wrapped__(0.3)
+        assert calls == [(1, 2, 6, 6)]
+
+
 class TestDetectorProjectors:
     def test_on_tagged_output_state(self):
         space = comp.tagged_space()

@@ -143,6 +143,19 @@ class TestParse:
             parse_text(src)
         assert str(err.value) == text
 
+    def test_non_finite_binding_diagnostic(self):
+        ast = parse_text((EXPERIMENT_DIR / "baseline_phase.mzx").read_text())
+        with pytest.raises(ParseError) as err:
+            dsl.compile(ast, {"phi": math.inf})
+        assert str(err.value) == "4:1: semantic error: phase must be finite, got inf"
+
+    def test_sweep_of_a_parameter_the_file_lacks_diagnostic(self):
+        ast = parse_text((EXPERIMENT_DIR / "baseline_phase.mzx").read_text())
+        with pytest.raises(ParseError) as err:
+            dsl.sweep_template(ast, "theta")
+        assert str(err.value) == ("1:1: semantic error: parameter 'theta' is not a free "
+                                  "parameter of this file (free: ['phi'])")
+
     def test_invalid_corpus_is_large_enough(self):
         assert len(INVALID_CASES) >= 10
 

@@ -271,10 +271,25 @@ def test_chunked_batches_equal_point_by_point(monkeypatch, condition):
 
 
 def test_long_eta_sweep_leaves_a_bounded_kraus_cache():
+    # The batch builds the template's pair, at eta 1, and no pair per point.
     ast = dsl.parse_text((ROOT / "tests" / "golden" / "eraser_eta.mzx").read_text())
     grid = [(k + 1) / 1000 for k in range(1000)]
+    before = comp.eraser_kraus.cache_info()
     sweep(dsl.sweep_template(ast, "eta"), "eta", grid)
-    assert comp.eraser_kraus.cache_info().currsize <= 256
+    after = comp.eraser_kraus.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.currsize - before.currsize <= 1
+
+
+def test_a_wrapper_set_after_the_template_sees_the_eta_stack(monkeypatch):
+    ast = dsl.parse_text((ROOT / "tests" / "golden" / "eraser_eta.mzx").read_text())
+    family = dsl.sweep_template(ast, "eta")
+    calls = []
+    stack = comp.eraser_kraus_stack
+    monkeypatch.setattr(comp, "eraser_kraus_stack", lambda etas: calls.append(list(etas))
+                        or stack(etas))
+    sweep(family, "eta", [0.25, 0.5, 1.0])
+    assert calls == [[0.25, 0.5, 1.0]]
 
 
 def test_long_sweep_memory_is_bounded():
