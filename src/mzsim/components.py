@@ -4,9 +4,11 @@ The constructors act on the canonical subsystems from `hilbert`
 (direction, photon, atom, eraser).  Most return a `LinearMap`;
 `eraser_kraus` returns an `EraserKrausPair`, and the two stacks
 (`phase_shifter_stack`, `eraser_kraus_stack`) return the plain matrices of
-a parameterised component over an array of values, for a batched sweep.  Path naming convention: path A
-is the transmitted beam and carries direction label x between the first
-beam splitter and the mirrors; path B is the deflected beam (label y).
+a parameterised component over an array of values, for a batched sweep.
+
+Path naming convention: path A is the transmitted beam and carries
+direction label x between the first beam splitter and the mirrors; path B
+is the deflected beam (label y).
 """
 
 from __future__ import annotations
