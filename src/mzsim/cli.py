@@ -147,7 +147,7 @@ def _conditional_rows(records: Sequence[experiment.Record], weights: Sequence[fl
     if not given:
         return []
     pred = experiment.matches(**given)
-    base, *joints = experiment._leaf_sums(
+    base, *joints = experiment.leaf_sums(
         records, weights, [(pred,)] + [(pred, experiment.matches(detector=outcome))
                                        for outcome in ("X", "Y")]).ravel().tolist()
     if base == 0.0:

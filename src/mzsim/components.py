@@ -14,7 +14,7 @@ is the deflected beam (label y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -167,15 +167,12 @@ class EraserKrausPair:
     `k_abs` absorbs the photon (eraser gamma -> epsilon, photon -> vac),
     `k_noabs` is the complementary no-click evolution; together they are
     trace-preserving, checked at construction as `eraser_kraus_stack`
-    checks each of its pairs.  `_lifted` is the memo in which
-    `experiment.GeneralizedMeasure.operators` keeps the pair's full-space
-    (2, d, d) stack per (axes, dims), as a unitary stage keeps its map's in
-    `LinearMap._lifted`.
+    checks each of its pairs.  Like a `LinearMap`, the pair is frozen and
+    compares and hashes by identity.
     """
 
     k_abs: LinearMap
     k_noabs: LinearMap
-    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _checked(np.array([[self.k_abs.matrix, self.k_noabs.matrix]]))
@@ -223,11 +220,7 @@ def eraser_kraus(eta: float) -> EraserKrausPair:
 
     An unabsorbed photon stays in the photon register, with only the
     coupled-mode amplitude damped.  The matrices are `eraser_kraus_stack`'s
-    at this one eta.
-
-    The cache keeps up to 256 pairs, each with the stacks it was lifted to:
-    on the 24-dimensional eraser space, one (2, 24, 24) complex stack of
-    18 KiB, so at most 4.5 MiB in all.
+    at this one eta.  The cache keeps up to 256 pairs.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")

@@ -15,8 +15,6 @@ comment, blank lines are ignored:
 Numbers are decimals with an optional exponent and an optional `pi` suffix
 meaning multiplication by pi.  An identifier in a number position names a
 parameter that must be bound at compile time; a file may use at most one.
-One exception stands: a closed eraser compiles to no stage, so its
-`eta=<param>` is neither bound nor range-checked (a literal eta is).
 
 Validation rules: the file starts with exactly one source directive;
 detect is required, once, as the final stage; entangler appears at most
@@ -110,7 +108,7 @@ def tokenize(src: str) -> list[Token]:
                 pos += 1
                 continue
             m = _NUMBER_RE.match(line, pos)
-            if m and (ch.isdigit() or (ch == "-" and m.end() > pos + 1)):
+            if m:
                 pos = m.end()
                 text = m.group()
                 value = float(text)
@@ -165,13 +163,12 @@ class _Directive:
               ) -> experiment.Stage | None:
         return None
 
-    def swept(self, key: str | None, parameter: str) -> experiment.SweptStage | None:
-        """This directive over the values of `parameter`, or None if it makes
-        no stage; the template is the stage at `default`."""
+    def swept(self, key: str | None, parameter: str) -> experiment.SweptStage:
+        """This directive over the values of `parameter`; the template is the
+        stage at `default`, None if the directive makes no stage."""
         def build(value):
             return self.stage(key, {parameter: value})
-        template = build(self.default)
-        return None if template is None else experiment.SweptStage(template, build, self.stack)
+        return experiment.SweptStage(build(self.default), build, self.stack)
 
     def _text(self) -> str:
         return self.param if self.param is not None else repr(self.value)
@@ -299,13 +296,16 @@ class EraserStage(_Directive):
         return "abs" if self.open else None
 
     def stage(self, key, bindings):
-        if not self.open:
-            return None  # closed channel: the eraser atom idles in gamma
+        """An open eraser's Kraus stage; a closed one binds and checks its
+        eta as an open one does, but makes no stage: the eraser atom idles
+        in gamma."""
         try:
             kraus = components.eraser_kraus(self._bound(bindings, "eta", self.default))
         except ValueError as exc:
             raise _semantic(self.line, 1, str(exc)) from None
-        return experiment.GeneralizedMeasure(kraus, ("photon", "eraser"), key)
+        if self.open:
+            return experiment.GeneralizedMeasure(kraus, ("photon", "eraser"), key)
+        return None
 
     def stack(self, values):
         return components.eraser_kraus_stack(values)
@@ -322,8 +322,7 @@ class DetectStage(_Directive):
 DIRECTIVES = {kind.keyword: kind for kind in (
     SourceDecl, BeamSplitterStage, MirrorsStage, PhaseStage, WwReadoutStage,
     EntanglerStage, EraserStage, DetectStage)}
-DIRECTIVE_KEYWORDS = tuple(DIRECTIVES)
-KEYWORDS = DIRECTIVE_KEYWORDS + ("open", "closed", "excited")
+KEYWORDS = tuple(DIRECTIVES) + ("open", "closed", "excited")
 
 
 @dataclass(frozen=True)

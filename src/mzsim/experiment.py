@@ -14,12 +14,12 @@ amplitudes, checked once with `hilbert.check_states`; `marginal`,
 views are built only when `.branches` is first read.  `run_sampled` draws
 per-shot outcomes down the same levels with a counter-based RNG (see
 `rng`), SHOT_BLOCK shots at a time, so its memory is O(SHOT_BLOCK x
-measurement stages) for any shot count; it orders its histogram by one
-`np.lexsort` over the hit rows' per-level label ranks.  Exact enumeration
-is always the source of truth and sampling is validated against it.
+measurement stages) for any shot count, and lists its histogram's records
+in sorted order.  Exact enumeration is always the source of truth and
+sampling is validated against it.
 
 Every sum of leaf weights by a record predicate goes through one function,
-`_leaf_sums`: `marginal`, `conditional`, the distribution's sum check, both
+`leaf_sums`: `marginal`, `conditional`, the distribution's sum check, both
 kinds of sweep point, and the CLI's conditionals of probabilities and of
 shot counts.  It adds the weights with one `np.bincount` over (predicate,
 grid point) bins, each bin in leaf order from 0.0, so every sum is a
@@ -36,7 +36,9 @@ to the outcome its label names, by a cached index array per (axis, dims),
 with no arithmetic.  Unitary and Kraus stages (`_Product`) are dense matrix
 products with their lifted stacks, diagonal phases included, because the
 stored outputs pin the bits of those BLAS products and an elementwise
-product rounds differently (see `_branch_tree`).
+product rounds differently (see `_branch_tree`).  This module holds the one
+memo of those stacks, per operator (see `_Product`); the operators
+themselves are plain immutable values.
 
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
 `dsl.sweep_template` returns) runs as a batch: `_branch_tree` walks a forest
@@ -56,6 +58,7 @@ final row has its own record.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -110,15 +113,28 @@ class Stage:
     terminal = False
 
 
+#: The memo of `_Product._lifted_stack`: owner -> {(axes, dims): stack}.
+_LIFTED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class _Product(Stage):
     """A stage applied as dense matrix products, one per outcome, with the
     full-space stack of its local matrices (`local()`) on its `targets`.
 
-    The fixed stack is lifted at most once per (axes, dims) into the memo
-    (`_lifted`) of the operator that owns the matrices (`_owner`); shared
-    components are one object per process, so every pipeline and walk that
-    uses them reads the same array.  A swept stage's `local` matrices at G
-    grid points (`SweptStage.stack`, in `local()`'s order) give a
+    The fixed stack is lifted at most once per (axes, dims) into `_LIFTED`,
+    a weak dictionary keyed by the operator that owns the matrices
+    (`_owner`, a `LinearMap` or an `EraserKrausPair`, both hashed by
+    identity) and holding, per (axes, dims) int tuple, the read-only stack.
+    It cannot go stale: the owner is frozen and its matrices read-only, so
+    one key always lifts to the same bytes.  An entry dies with its owner,
+    by reference count and without the cycle collector, so a phase map made
+    by one compile takes its stack with it.  Shared components are one
+    object per process, so every pipeline and walk that uses them reads the
+    same array.  The largest owners that stay alive are the Kraus pairs in
+    `components.eraser_kraus`'s cache: up to 256 pairs, each with one
+    (2, 24, 24) complex stack of 18 KiB on the 24-dimensional eraser space,
+    so at most 4.5 MiB in all.  A swept stage's `local` matrices at G grid
+    points (`SweptStage.stack`, in `local()`'s order) give a
     (G, branches, d, d) stack instead, lifted anew on every call.
     """
 
@@ -145,7 +161,9 @@ class _Product(Stage):
         return list(self.outcomes), lift(local, axes, space.dims)
 
     def _lifted_stack(self, axes: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-        memo = self._owner._lifted
+        memo = _LIFTED.get(self._owner)
+        if memo is None:
+            memo = _LIFTED[self._owner] = {}
         stack = memo.get((axes, dims))
         if stack is None:
             stack = memo[axes, dims] = lift(np.array(self.local()), axes, dims)
@@ -287,10 +305,14 @@ class SweptStage:
     `stack(values)` is `build(value).local()` at the leading n values that
     `build` accepts, all of them or those before the first it rejects, as
     one (n, branches, k, k) array.
+
+    A parameter may also set a value that makes no stage (a closed
+    eraser's eta): then `template` is None, `build` only checks the value
+    and gives None, and `stack`'s length alone counts.
     """
 
-    template: _Product
-    build: Callable[[float], _Product]
+    template: _Product | None
+    build: Callable[[float], _Product | None]
     stack: Callable[[np.ndarray], np.ndarray]
 
 
@@ -308,13 +330,15 @@ class PipelineFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        Pipeline(self.space, self.initial,   # validates the stages as their templates
-                 tuple(s.template if isinstance(s, SweptStage) else s for s in self.stages))
+        self._pipeline(attrgetter("template"))   # validates the stages as their templates
 
     def __call__(self, value: float) -> Pipeline:
-        return Pipeline(self.space, self.initial,
-                        tuple(s.build(value) if isinstance(s, SweptStage) else s
-                              for s in self.stages))
+        return self._pipeline(lambda swept: swept.build(value))
+
+    def _pipeline(self, stage_of: Callable[[SweptStage], Stage | None]) -> Pipeline:
+        """The pipeline with `stage_of(s)` for each swept stage s, less the Nones."""
+        stages = (stage_of(s) if isinstance(s, SweptStage) else s for s in self.stages)
+        return Pipeline(self.space, self.initial, tuple(s for s in stages if s is not None))
 
 
 class Branch:
@@ -346,9 +370,9 @@ class Branch:
         return dict(self._record)
 
 
-def _leaf_sums(records: Sequence[Record], weights: np.ndarray | Sequence[float],
-               predicates: Sequence[tuple[Predicate, ...]], rows: np.ndarray | None = None,
-               points: np.ndarray | None = None, grid: int = 1) -> np.ndarray:
+def leaf_sums(records: Sequence[Record], weights: np.ndarray | Sequence[float],
+              predicates: Sequence[tuple[Predicate, ...]], rows: np.ndarray | None = None,
+              points: np.ndarray | None = None, grid: int = 1) -> np.ndarray:
     """The (len(predicates), grid) sums of `weights` by record predicate and
     grid point.
 
@@ -400,7 +424,7 @@ class OutcomeDistribution:
             raise ValueError("records, probabilities and amplitudes differ in length")
         if (self.probs < 0.0).any():
             raise ValueError("negative branch probability")
-        total = _leaf_sums(self.records, self.probs, [()]).item() + self.pruned
+        total = leaf_sums(self.records, self.probs, [()]).item() + self.pruned
         if abs(total - 1.0) > ATOL_DIST_SUM:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
 
@@ -420,12 +444,12 @@ def matches(**pairs: str) -> Predicate:
 def marginal(dist: OutcomeDistribution, of: Predicate) -> float:
     """Total probability of branches whose record satisfies the predicate,
     summed in leaf order."""
-    return _leaf_sums(dist.records, dist.probs, [(of,)]).item()
+    return leaf_sums(dist.records, dist.probs, [(of,)]).item()
 
 
 def conditional(dist: OutcomeDistribution, given: Predicate, of: Predicate) -> float:
     """P(of | given); raises ZeroProbabilityEventError if P(given) = 0."""
-    p_given, joint = _leaf_sums(dist.records, dist.probs, [(given,), (given, of)]).ravel().tolist()
+    p_given, joint = leaf_sums(dist.records, dist.probs, [(given,), (given, of)]).ravel().tolist()
     if p_given == 0.0:
         raise ZeroProbabilityEventError("conditioning event has zero probability")
     return joint / p_given
@@ -565,8 +589,8 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     leaves, dropped = kept.nonzero()[0], (~kept).nonzero()[0]
     pruned = np.zeros(points)
     if dropped.size:   # rare; their records are not read, so each is the empty one
-        pruned = _leaf_sums([()] * len(dropped), prob[dropped], [()],
-                            points=_ancestry(levels, dropped)[1], grid=points)[0]
+        pruned = leaf_sums([()] * len(dropped), prob[dropped], [()],
+                           points=_ancestry(levels, dropped)[1], grid=points)[0]
     return BranchTree(levels, leaves, prob[leaves], amps[leaves], pruned)
 
 
@@ -636,8 +660,8 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
 
     The histogram lists the records in sorted order.  A valid pipeline
     gives every final row its own record, and every record lists the same
-    keys, so that order is the lexicographic order of the rows' per-level
-    label ranks: one `np.lexsort` over the hit rows.
+    keys in stage order, so records compare level by level, as the rows'
+    outcome labels do.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -663,21 +687,8 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
                 raise RuntimeError("drew a zero-probability outcome")
         totals += np.bincount(row, minlength=len(totals))
     hit = np.flatnonzero(totals)
-    outcomes = tree.outcomes(hit)
-    # np.lexsort's primary key is its last: the first level's ranks.
-    order = np.lexsort([_label_ranks(level.pairs)[column]
-                        for level, column in zip(levels[::-1], outcomes[::-1])])
-    counts = dict(zip(tree.records([column[order] for column in outcomes]),
-                      totals[hit[order]].tolist()))
+    counts = dict(sorted(zip(tree.records(tree.outcomes(hit)), totals[hit].tolist())))
     return ShotHistogram(shots=shots, seed=seed, counts=counts)
-
-
-def _label_ranks(pairs: np.ndarray) -> np.ndarray:
-    """The rank of each (record key, outcome label) pair of a level in
-    sorted order."""
-    ranks = np.empty(len(pairs), dtype=np.intp)
-    ranks[sorted(range(len(pairs)), key=pairs.__getitem__)] = np.arange(len(pairs))
-    return ranks
 
 
 class SweepPoint(NamedTuple):
@@ -720,7 +731,8 @@ def _swept_points(family: PipelineFamily, grid: Sequence[float],
         n = min((len(local) for local in stacks if local is not None), default=len(chunk))
         if n:
             stages = [s if local is None else (s.template, local[:n])
-                      for s, local in zip(family.stages, stacks)]
+                      for s, local in zip(family.stages, stacks)
+                      if local is None or s.template is not None]
             tree = _branch_tree(family.space, family.initial, stages, n)
             points += _chunk_points(tree, chunk[:n], given)
         if n < len(chunk):
@@ -732,7 +744,7 @@ def _swept_points(family: PipelineFamily, grid: Sequence[float],
 def _chunk_points(tree: BranchTree, grid: Sequence[float],
                   given: Predicate | None) -> list[SweepPoint]:
     """The points of one walk over `grid`, equal to the per-point ones: the
-    leaves' sums come from one `_leaf_sums` call over their distinct
+    leaves' sums come from one `leaf_sums` call over their distinct
     records."""
     outcomes, points = _ancestry(tree.levels, tree.leaves)
     # Number the leaves' outcome paths densely, level by level, and read the
@@ -754,14 +766,14 @@ def _sweep_points(records: Sequence[Record], probs: np.ndarray, given: Predicate
                   grid: Sequence[float], pruned: np.ndarray | float,
                   rows: np.ndarray | None = None,
                   points: np.ndarray | None = None) -> list[SweepPoint]:
-    """Sweep points over `grid` from one `_leaf_sums` call on the leaves
+    """Sweep points over `grid` from one `leaf_sums` call on the leaves
     (`records`, `probs`, `rows` and `points` are its arguments).  A point
     sums all its leaves, X and Y, and then given, given and X, and given
     and Y."""
     detectors = [(matches(detector="X"),), (matches(detector="Y"),)]
     conditions = [] if given is None else [(given,)] + [(given, *of) for of in detectors]
-    kept, prob_x, prob_y, *conditioned = _leaf_sums(records, probs, [()] + detectors + conditions,
-                                                    rows, points, len(grid))
+    kept, prob_x, prob_y, *conditioned = leaf_sums(records, probs, [()] + detectors + conditions,
+                                                   rows, points, len(grid))
     p_given = conditioned[0] if conditioned else np.ones(len(grid))
     # The checks of `OutcomeDistribution` and `conditional`, raised for the
     # first point that fails one, as a point-by-point loop would.

@@ -19,14 +19,6 @@ A unitary diagonal map, such as a phase shifter, is built by
 `LinearMap.diagonal`, which checks its d entries for finiteness and
 |z|^2 = 1 in O(d) where the general constructor forms M†M.
 
-The one mutable part is a memo: a `LinearMap`'s `_lifted` dict (and a
-`components.EraserKrausPair`'s) holds the read-only stacks that the
-`operators` of a unitary or Kraus stage in `experiment` lifted the map to,
-keyed by the int tuples (axes, dims), so a map shared by many pipelines is
-lifted once per space layout.  It cannot go stale: the matrix is read-only from construction and
-the map is frozen, so the same (axes, dims) always lifts to the same bytes.
-It takes no part in equality or repr and dies with its map.
-
 Tolerances are fixed module constants.  Constructors reject bad input
 (non-finite amplitudes, non-unit norms, non-unitary matrices flagged
 unitary) instead of silently repairing it.  The state rule lives in
@@ -240,15 +232,14 @@ class LinearMap:
     """Dense square matrix over a SpaceSpec, optionally flagged unitary.
 
     The unitary flag is *checked* at construction: max|M†M - I| must not
-    exceed ATOL_UNITARY (`diagonal` checks a diagonal map in O(d)).
-    `_lifted` is the memo of full-space stacks described in the module
-    docstring.
+    exceed ATOL_UNITARY (`diagonal` checks a diagonal map in O(d)).  The
+    map is frozen and its matrix read-only; it compares and hashes by
+    identity.
     """
 
     space: SpaceSpec
     matrix: np.ndarray
     unitary: bool = field(default=False)
-    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)
@@ -285,8 +276,7 @@ class LinearMap:
         mat.setflags(write=False)
         # Every field as __init__ sets it, without __post_init__'s M†M.
         out = object.__new__(cls)
-        for name, value in (("space", space), ("matrix", mat), ("unitary", True),
-                            ("_lifted", {})):
+        for name, value in (("space", space), ("matrix", mat), ("unitary", True)):
             object.__setattr__(out, name, value)
         return out
 

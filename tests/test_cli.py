@@ -329,6 +329,43 @@ class TestSweep:
         assert first == second
 
 
+def eraser_param_file(tmp_path, mode):
+    """A file whose one parameter `p` is the eta of an open or closed eraser,
+    on its line 6."""
+    path = tmp_path / f"eraser_{mode}_param.mzx"
+    path.write_text("source A excited\nbeamsplitter\nentangler\nmirrors\nbeamsplitter\n"
+                    f"eraser {mode} eta=p\ndetect\n")
+    return str(path)
+
+
+class TestEraserParameter:
+    """A closed eraser binds and range-checks its `eta=<param>` as an open
+    one does, with the same texts, though it makes no stage."""
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_run_without_a_binding_exits_1(self, tmp_path, capsys, mode):
+        file = eraser_param_file(tmp_path, mode)
+        assert run_cli(capsys, "run", file) == (
+            1, "", f"error: {file}:6:1: semantic error: unbound parameter 'p'\n")
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_sweep_outside_the_range_exits_1(self, tmp_path, capsys, mode):
+        file = eraser_param_file(tmp_path, mode)
+        assert run_cli(capsys, "sweep", file, "--param", "p", "--from", "-5", "--to", "5",
+                       "--steps", "2") == (
+            1, "", f"error: {file}: eta must lie in (0, 1], got -5.0\n")
+
+    def test_closed_sweep_inside_the_range_is_constant(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "sweep", eraser_param_file(tmp_path, "closed"),
+                                 "--param", "p", "--from", "0.25", "--to", "1.25",
+                                 "--steps", "4", "--format", "csv")
+        assert (code, err) == (0, "")
+        header, *rows, _ = out.splitlines()
+        assert header == "value,prob_x,prob_y"
+        assert [row.split(",")[0] for row in rows] == ["0.25", "0.5", "0.75", "1"]
+        assert len({row.split(",", 1)[1] for row in rows}) == 1
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", [p.name for p in sorted(EXPERIMENT_DIR.glob("*.mzx"))])
     def test_shipped_corpus_is_valid(self, capsys, name):

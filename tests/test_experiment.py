@@ -464,8 +464,8 @@ class TestAgainstDenseReference:
 def dict_histogram(pipeline, shots, seed):
     """`run_sampled` with a dict histogram: the walk's final rows get their
     records by concatenation level by level, the shots are counted per
-    record with `dict.get` and the records sorted with `sorted`, as before
-    the histogram was ordered by `np.lexsort`."""
+    record with `dict.get` and the records sorted with `sorted`, with none
+    of `BranchTree`'s record readout."""
     tree = exp._branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
     records = [()]
     for level in tree.levels:
@@ -830,13 +830,14 @@ def lift_every_stage_fresh(monkeypatch):
 
 
 def module_container_sizes():
-    """The size of every cache and container at module level in `mzsim`."""
+    """The size of every cache and container at module level in `mzsim`,
+    the weak memo of lifted stacks included."""
     sizes = {}
     for module in (hilbert, comp, exp, dsl, cli, rng):
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 sizes[module.__name__, name] = value.cache_info().currsize
-            elif isinstance(value, (dict, list, set)):
+            elif isinstance(value, (dict, list, set, weakref.WeakKeyDictionary)):
                 sizes[module.__name__, name] = len(value)
     return sizes
 
@@ -882,8 +883,9 @@ class TestLiftMemo:
         assert len(places) == 1
 
     def test_distinct_phases_grow_no_module_container(self):
-        # Each program's phase shifter is its own map, lifted into its own
-        # memo; the shared components keep one entry per (axes, dims).
+        # Each program's phase shifter is its own map, with its own entry in
+        # the memo until it dies; the shared components keep one stack per
+        # (axes, dims).
         texts = ["source A\nbeamsplitter\nphase B {}\nmirrors\nbeamsplitter\ndetect\n",
                  "source B\nbeamsplitter\nwwreadout\nphase A {}\nbeamsplitter\ndetect\n",
                  "source A excited\nbeamsplitter\nentangler\nphase B {}\nmirrors\n"
@@ -891,24 +893,31 @@ class TestLiftMemo:
         programs = [texts[k % 3].format(repr(0.001 * k + 0.1)) for k in range(1000)]
         for text in programs[:3]:
             run_analytic(dsl.compile(dsl.parse_text(text)))
-        sizes, memo = module_container_sizes(), dict(comp.beam_splitter()._lifted)
+        sizes, memo = module_container_sizes(), dict(exp._LIFTED[comp.beam_splitter()])
+        assert sizes["mzsim.experiment", "_LIFTED"] > 0
         for text in programs[3:]:
             run_analytic(dsl.compile(dsl.parse_text(text)))
         assert module_container_sizes() == sizes
-        assert comp.beam_splitter()._lifted.keys() == memo.keys()
+        assert exp._LIFTED[comp.beam_splitter()].keys() == memo.keys()
         for (axes, dims), stack in memo.items():
             assert stack.shape == (1, math.prod(dims), math.prod(dims))
-            assert comp.beam_splitter()._lifted[axes, dims] is stack
+            assert exp._LIFTED[comp.beam_splitter()][axes, dims] is stack
 
     def test_a_memo_dies_with_its_operator(self):
         pipeline = dsl.compile(dsl.parse_text(
             "source A\nbeamsplitter\nphase B 0.3\nmirrors\nbeamsplitter\ndetect\n"))
         run_analytic(pipeline)
         phase = pipeline.stages[1].op
-        (stack,) = phase._lifted.values()
+        (stack,) = exp._LIFTED[phase].values()
+        entries = len(exp._LIFTED)
         refs = weakref.ref(phase), weakref.ref(stack)
-        del pipeline, phase, stack   # freed without the cycle collector
-        assert [ref() for ref in refs] == [None, None]
+        gc.disable()
+        try:
+            del pipeline, phase, stack   # freed without the cycle collector
+            assert [ref() for ref in refs] == [None, None]
+            assert len(exp._LIFTED) == entries - 1
+        finally:
+            gc.enable()
 
     def test_kraus_cache_keeps_at_most_4_5_mib_of_stacks(self):
         # Each cached pair holds its (2, 24, 24) stack on the eraser space:
@@ -917,7 +926,7 @@ class TestLiftMemo:
         for k in range(300):
             run_analytic(dsl.compile(ast, {"eta": (k + 1) / 300}))
         pair = comp.eraser_kraus(1.0)
-        stack = pair._lifted[(1, 3), (2, 3, 2, 2)]
+        stack = exp._LIFTED[pair][(1, 3), (2, 3, 2, 2)]
         assert stack.shape == (2, 24, 24) and stack.nbytes == 18 * 2**10
         info = comp.eraser_kraus.cache_info()
         assert info.currsize <= info.maxsize == 256
@@ -940,7 +949,7 @@ def test_cold_lifts_equal_the_memoized_run(which, monkeypatch):
             assert dist.amps.tobytes() == warm.amps.tobytes()
             assert [list(run_sampled(p, 2000, seed).counts.items())
                     for seed in (0, 2**64 - 1)] == sampled
-        assert all(not s.op._lifted for s in fresh.stages if isinstance(s, exp.Unitary)
+        assert all(s.op not in exp._LIFTED for s in fresh.stages if isinstance(s, exp.Unitary)
                    and s.op not in (comp.beam_splitter(), comp.mirror_pair(),
                                     comp.which_way_entangler()))
 
@@ -965,3 +974,18 @@ def test_package_has_no_broad_except():
                      isinstance(name, ast.Name) and name.id in ("Exception", "BaseException")
                      for name in getattr(node.type, "elts", [node.type])))]
         assert broad == [], f"{path.name}: broad except at lines {broad}"
+
+
+def test_package_reads_no_private_name_of_another():
+    # A name with one leading underscore belongs to its module or object, so
+    # it is read only off `self` or `cls`.  NamedTuple's public methods are
+    # spelled with an underscore, and are exempt.
+    package = Path(exp.__file__).resolve().parent
+    public = {"_make", "_replace", "_fields", "_asdict"}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                 and not node.attr.startswith("__") and node.attr not in public
+                 and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+        assert reads == [], f"{path.name}: another's private name at lines {reads}"

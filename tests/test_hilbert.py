@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mzsim import hilbert
+from mzsim.components import EraserKrausPair
 from mzsim.hilbert import (
     LinearMap,
     SpaceSpec,
@@ -138,6 +140,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             psi.amps[0] = 5.0
 
+    @pytest.mark.parametrize("cls", [LinearMap, EraserKrausPair])
+    def test_operators_hold_only_public_fields(self, cls):
+        # An operator is a plain value: what it holds is what it was built
+        # from, and what a stage lifts it to is kept elsewhere.
+        assert [f.name for f in fields(cls) if f.name.startswith("_")] == []
+
 
 class TestDiagonal:
     @pytest.mark.parametrize("entries", [
@@ -146,7 +154,8 @@ class TestDiagonal:
     def test_equals_the_dense_checked_map(self, entries):
         op = LinearMap.diagonal(space_of(AB), entries)
         dense = LinearMap(space_of(AB), np.diag(np.array(entries, dtype=complex)), unitary=True)
-        assert op.unitary and op.space == space_of(AB) and op._lifted == {}
+        assert op.unitary and op.space == space_of(AB)
+        assert vars(op).keys() == {f.name for f in fields(LinearMap)}
         assert op.matrix.dtype == np.complex128 and not op.matrix.flags.writeable
         assert op.matrix.tobytes() == dense.matrix.tobytes()
 
