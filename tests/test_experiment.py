@@ -920,8 +920,8 @@ class TestLiftMemo:
             gc.enable()
 
     def test_kraus_cache_keeps_at_most_4_5_mib_of_stacks(self):
-        # Each cached pair holds its (2, 24, 24) stack on the eraser space:
-        # 18 KiB, and 256 of them 4.5 MiB.
+        # Each cached pair keeps its (2, 24, 24) stack on the eraser space
+        # alive in the memo: 18 KiB, and 256 of them 4.5 MiB.
         ast = dsl.parse_text((Path(__file__).parent / "golden" / "eraser_eta.mzx").read_text())
         for k in range(300):
             run_analytic(dsl.compile(ast, {"eta": (k + 1) / 300}))
