@@ -196,13 +196,20 @@ def _kraus_matrices(etas: np.ndarray) -> tuple[SpaceSpec, np.ndarray]:
         np.outer(coupled, coupled.conj())], axis=1)
 
 
+def leading_etas(etas: np.ndarray | list[float]) -> int:
+    """How many leading etas lie in (0, 1]: all of them, or those before the
+    first out of range (nan included).  The one range test of eta."""
+    etas = np.asarray(etas, dtype=np.float64)
+    inside = (etas > 0.0) & (etas <= 1.0)
+    return len(inside) if inside.all() else int(np.argmin(inside))
+
+
 def eraser_kraus_stack(etas: np.ndarray) -> np.ndarray:
     """`eraser_kraus(eta)`'s `(k_abs, k_noabs)` matrices at the leading n
-    etas in (0, 1], all of them or those before the first out of range, as
-    one checked (n, 2, 6, 6) array; bit for bit the pair's matrices."""
+    etas in (0, 1] (`leading_etas`) as one checked (n, 2, 6, 6) array; bit
+    for bit the pair's matrices."""
     etas = np.asarray(etas, dtype=np.float64)
-    bad = np.flatnonzero(~((etas > 0.0) & (etas <= 1.0)))
-    return _checked(_kraus_matrices(etas[:bad[0]] if bad.size else etas)[1])
+    return _checked(_kraus_matrices(etas[:leading_etas(etas)])[1])
 
 
 @lru_cache(maxsize=256)
@@ -222,7 +229,7 @@ def eraser_kraus(eta: float) -> EraserKrausPair:
     coupled-mode amplitude damped.  The matrices are `eraser_kraus_stack`'s
     at this one eta.  The cache keeps up to 256 pairs.
     """
-    if not 0.0 < eta <= 1.0:
+    if not leading_etas([eta]):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
     space, ((k_abs, k_noabs),) = _kraus_matrices(np.array([eta], dtype=np.float64))
     return EraserKrausPair(LinearMap(space, k_abs), LinearMap(space, k_noabs))

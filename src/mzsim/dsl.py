@@ -308,7 +308,11 @@ class EraserStage(_Directive):
         return None
 
     def stack(self, values):
-        return components.eraser_kraus_stack(values)
+        """An open eraser's Kraus stack; a closed one's only counts the
+        values it accepts, as a range of that length."""
+        if self.open:
+            return components.eraser_kraus_stack(values)
+        return range(components.leading_etas(values))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,13 @@ amplitudes, checked once with `hilbert.check_states`; `marginal`,
 `conditional` and the CLI read these columns, and the per-leaf `Branch`
 views are built only when `.branches` is first read.  `run_sampled` draws
 per-shot outcomes down the same levels with a counter-based RNG (see
-`rng`), SHOT_BLOCK shots at a time, so its memory is O(SHOT_BLOCK x
-measurement stages) for any shot count, and lists its histogram's records
-in sorted order.  Exact enumeration is always the source of truth and
-sampling is validated against it.
+`rng`), SHOT_BLOCK shots at a time, on integers only: a draw's 53-bit word
+against each cumulative weight's integer threshold, which it reaches
+exactly when the float draw reaches the weight.  Up to two threads walk
+the blocks into buffers allocated once, so its memory is O(SHOT_BLOCK x
+threads) for any shot count and depth, and it lists its histogram's
+records in sorted order.  Exact enumeration is always the source of truth
+and sampling is validated against it.
 
 Every sum of leaf weights by a record predicate goes through one function,
 `leaf_sums`: `marginal`, `conditional`, the distribution's sum check, both
@@ -58,9 +61,11 @@ final row has its own record.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -81,9 +86,13 @@ ATOL_DELAYED = 1e-12
 #: lifted (rows, n, d, d) stack for n outcomes, gathered per row after a split:
 #: 9 MiB per outcome and row per point at d = 24, the largest space `dsl` builds.
 SWEEP_CHUNK = 1024
-#: Shots per sampling block; a block's draws take SHOT_BLOCK x 8 bytes per
-#: measurement stage.
+#: Shots per sampling block.  A walker's buffers take SHOT_BLOCK x 57 bytes,
+#: whatever the number of measurement stages.  On two threads, 2**14 ran
+#: about 1.7 times slower than 2**15, and 2**16 was no faster with 3.6 MiB
+#: more of buffers.
 SHOT_BLOCK = 1 << 15
+#: 2**53: a draw's word m is below it, and u = m / _WORDS.
+_WORDS = float(1 << 53)
 
 Record = tuple[tuple[str, str], ...]
 Predicate = Callable[[Mapping[str, str]], bool]
@@ -308,12 +317,13 @@ class SweptStage:
 
     A parameter may also set a value that makes no stage (a closed
     eraser's eta): then `template` is None, `build` only checks the value
-    and gives None, and `stack`'s length alone counts.
+    and gives None, and `stack` gives a sequence of length n with no
+    matrices, since its length alone counts.
     """
 
     template: _Product | None
     build: Callable[[float], _Product | None]
-    stack: Callable[[np.ndarray], np.ndarray]
+    stack: Callable[[np.ndarray], np.ndarray | Sequence[object]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,10 +639,14 @@ class ShotHistogram:
 def _shot_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampling table of one level of (B, n) outcome weights.
 
-    Returns the cumulative weights as an (n, B) array and, flattened, a
-    (B, n + 1) table of next-level rows: entry [b, c] is the row a shot in
-    branch b moves to when c of the branch's cumulative weights are at or
-    below its draw.  That is outcome c's row, except that roundoff at the
+    A draw u = m * 2**-53 (`rng.draw_words`) is at or above a cumulative
+    weight c exactly when m >= ceil(c * 2**53): scaling by a power of two is
+    exact, and m is an integer.  Returns those int64 thresholds as a (k, B)
+    array, less the trailing columns that no draw reaches (every threshold
+    at or above 2**53; a cumulative weight never falls along a row), and,
+    flattened, a (B, k + 1) table of next-level rows: entry [b, c] is the
+    row a shot in branch b moves to when c of the branch's thresholds are at
+    or below its word.  That is outcome c's row, except that roundoff at the
     top end (c past the last positive outcome) picks the last positive
     outcome.  A zero-weight outcome has no row: -1.
     """
@@ -640,9 +654,72 @@ def _shot_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     positive = weights > 0.0
     child = np.where(positive, np.cumsum(positive).reshape(branches, n) - 1, -1)
     last_positive = n - 1 - np.argmax(positive[:, ::-1], axis=1)
-    picked = np.minimum(np.arange(n + 1), last_positive[:, None])
+    thresholds = np.ceil(np.cumsum(weights, axis=1).T * _WORDS).astype(np.int64)
+    k = np.count_nonzero((thresholds < _WORDS).any(axis=1))
+    picked = np.minimum(np.arange(k + 1), last_positive[:, None])
     next_row = np.take_along_axis(child, picked, axis=1)
-    return np.cumsum(weights, axis=1).T.copy(), next_row.ravel()
+    return thresholds[:k].copy(), next_row.ravel()
+
+
+def _shot_workers(blocks: int) -> int:
+    """Threads that walk `blocks` shot blocks: one per block, per CPU this
+    process may run on, and at most two."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(blocks, cpus, 2)
+
+
+def _walk_blocks(tables: list[tuple[np.ndarray, np.ndarray]], seed: int, shots: int,
+                 leaves: int, first: int, step: int, stop: threading.Event) -> np.ndarray:
+    """The final-row counts of shot blocks first, first + step, ... of
+    `run_sampled`'s walk over the levels' `_shot_table`s.
+
+    The buffers are allocated once, each of one block's length, and every
+    block writes into them.  The walk stops after the block in progress
+    once `stop` is set, and sets it itself if it fails.
+    """
+    size = min(SHOT_BLOCK, shots)
+    streams = np.arange(first * SHOT_BLOCK, first * SHOT_BLOCK + size, dtype=np.uint64)
+    buffers = (*(np.empty(size, dtype=np.uint64) for _ in range(3)),
+               *(np.empty(size, dtype=np.intp) for _ in range(3)), np.empty(size, dtype=bool))
+    totals = np.zeros(leaves, dtype=np.int64)
+    done = False
+    try:
+        for start in range(first * SHOT_BLOCK, shots, step * SHOT_BLOCK):
+            if stop.is_set():
+                break
+            block = min(SHOT_BLOCK, shots - start)   # short only for the last block
+            keys, words, scratch, at, row, gathered, passed = (
+                buffer[:block] for buffer in buffers)
+            rng.stream_keys(seed, streams[:block], keys, scratch)
+            m = words.view(np.int64)
+            for depth, (thresholds, next_row) in enumerate(tables):
+                rng.draw_words(keys, depth, words, scratch)
+                # Count the thresholds of each shot's branch at or below its
+                # word, as searchsorted(thresholds, m, side="right") would.
+                if depth == 0:   # the one root row: scalar thresholds, no gather
+                    at.fill(0)
+                    for threshold in thresholds[:, 0].tolist():
+                        np.greater_equal(m, threshold, out=passed)
+                        at += passed
+                else:
+                    np.multiply(row, len(thresholds) + 1, out=at)
+                    for column in thresholds:
+                        np.take(column, row, out=gathered, mode="clip")
+                        np.less_equal(gathered, m, out=passed)
+                        at += passed
+                np.take(next_row, at, out=row, mode="clip")
+                if row.min() < 0:
+                    raise RuntimeError("drew a zero-probability outcome")
+            totals += np.bincount(row, minlength=leaves)
+            streams += step * SHOT_BLOCK
+        done = True
+    finally:
+        if not done:
+            stop.set()
+    return totals
 
 
 def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
@@ -656,7 +733,20 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     Shots walk `_branch_tree`'s levels SHOT_BLOCK at a time: at each level
     a shot takes the first outcome of its branch whose cumulative weight
     exceeds its draw, and moves to that outcome's row of the next level.
-    Memory is O(SHOT_BLOCK x measurement stages) whatever the shot count.
+    The walk compares integers only: each draw is its 53-bit word m
+    (`rng.draw_words`), and each cumulative weight the least integer
+    threshold that m reaches exactly when the draw reaches the weight
+    (`_shot_table`).  Each walker allocates its buffers once, eight arrays
+    of one block's length (57 bytes per shot), and every block writes
+    into them.
+
+    Blocks 0, w, 2w, ... are walked in the calling thread and the others in
+    one pool thread, where w, the number of walkers, is the least of the
+    block count, the CPUs this process may run on, and 2.  Their int64
+    counts are summed, so the histogram does not depend on w; a failure in
+    either stops the other after its block, and is raised here.  Memory is
+    O(SHOT_BLOCK x w) beyond the tree, whatever the shot count and the
+    number of levels.
 
     The histogram lists the records in sorted order.  A valid pipeline
     gives every final row its own record, and every record lists the same
@@ -670,22 +760,17 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     tree = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
     levels = tree.levels   # at least the detect stage's
     tables = [_shot_table(level.weights) for level in levels]
-    totals = np.zeros(len(levels[-1].rows), dtype=np.int64)
-    for start in range(0, shots, SHOT_BLOCK):
-        block = min(SHOT_BLOCK, shots - start)
-        draws = rng.unit_matrix(seed, block, len(levels), start)
-        row = np.zeros(block, dtype=np.intp)
-        for depth, (cum, next_row) in enumerate(tables):
-            u = draws[:, depth]
-            # Count the cumulative weights of each shot's branch at or
-            # below its draw: searchsorted(cum, u, side="right").
-            at = row * (len(cum) + 1)
-            for column in cum:
-                at += np.take(column, row) <= u
-            row = np.take(next_row, at)
-            if row.min() < 0:
-                raise RuntimeError("drew a zero-probability outcome")
-        totals += np.bincount(row, minlength=len(totals))
+    workers = _shot_workers(-(-shots // SHOT_BLOCK))
+    walk = partial(_walk_blocks, tables, seed, shots, len(levels[-1].rows),
+                   step=workers, stop=threading.Event())
+    if workers == 1:
+        totals = walk(0)
+    else:
+        # Imported here: it takes milliseconds, and only sampling uses it.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:
+            theirs = pool.submit(walk, 1)
+            totals = walk(0) + theirs.result()
     hit = np.flatnonzero(totals)
     counts = dict(sorted(zip(tree.records(tree.outcomes(hit)), totals[hit].tolist())))
     return ShotHistogram(shots=shots, seed=seed, counts=counts)

@@ -11,9 +11,12 @@ where mix64 is the SplitMix64 finalizer (Steele, Lea & Flood's SplitMix,
 as popularized by Vigna's splitmix64.c) and GAMMA is the golden-ratio
 increment 0x9E3779B97F4A7C15.  All arithmetic is modulo 2**64.
 
-Uniform doubles take the top 53 bits: u = (x >> 11) * 2**-53, giving values
-in [0, 1).  The vectorized helpers produce the exact same bits as the
-scalar ones.
+Uniform doubles take the top 53 bits of a draw x: the word m = x >> 11 is
+an integer in [0, 2**53), and u = m * 2**-53 is exact and lies in [0, 1).
+`draw_words` writes the words of one counter of many streams into arrays
+the caller passes in, from their keys (`stream_keys`); `unit_matrix` is the
+float view of those same words.  The vectorized helpers produce the exact
+same bits as the scalar ones.
 """
 
 from __future__ import annotations
@@ -64,36 +67,62 @@ class SubstreamSampler:
         return u
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """`mix64` on every element of a uint64 array, overwriting it."""
-    tmp = np.empty_like(z)
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`mix64` on every element of a uint64 array, overwriting it; `scratch`
+    is a uint64 array of z's shape that the mixer may overwrite."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        np.right_shift(z, shift, out=tmp)
-        z ^= tmp
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
         z *= mult
-    np.right_shift(z, 31, out=tmp)
-    z ^= tmp
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
     return z
 
 
+def stream_keys(seed: int, streams: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """Write stream_key(seed, streams[i]) into out[i] and return `out`.
+
+    `streams`, `out` and `scratch` are uint64 arrays of one shape; `scratch`
+    is overwritten.  Array arithmetic on uint64 wraps modulo 2**64, as the
+    scalar functions mask.
+    """
+    np.multiply(streams, GAMMA, out=out)
+    out += mix64(seed)
+    return _mix64_inplace(out, scratch)
+
+
+def draw_words(keys: np.ndarray, counter: int, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """Write the 53-bit word m = draw_u64(seed, stream_i, counter) >> 11 of
+    each stream into out[i] and return `out`, where keys[i] is
+    stream_key(seed, stream_i): the draw is u = m * 2**-53.
+
+    `keys`, `out` and `scratch` are uint64 arrays of one shape; `scratch`
+    is overwritten.  Every word is below 2**53, so `out.view(np.int64)`
+    reads the same integers.
+    """
+    np.add(keys, ((counter + 1) * GAMMA) & _MASK64, out=out)
+    _mix64_inplace(out, scratch)
+    out >>= 11
+    return out
+
+
 def unit_matrix(seed: int, streams: int, draws: int, first: int = 0) -> np.ndarray:
-    """Uniform [0,1) doubles, shape (streams, draws).
+    """Uniform [0,1) doubles, shape (streams, draws): the float view of
+    `draw_words`.
 
     Row i column k equals draw_unit(seed, first + i, k) bit for bit: the
     rows are substreams first, ..., first + streams - 1, so the matrix is
     rows first...first + streams of the one that starts at stream 0, and
-    any subset of rows is independent of the rest.  Array arithmetic on
-    uint64 wraps modulo 2**64, as the scalar functions mask.  The result is
-    the transpose of a (draws, streams) array, so each column is contiguous.
+    any subset of rows is independent of the rest.  The result is the
+    transpose of a (draws, streams) array, so each column is contiguous.
     """
     keys = np.arange(first, first + streams, dtype=np.uint64)
-    keys *= GAMMA
-    keys += mix64(seed)
-    _mix64_inplace(keys)
-    counters = np.arange(1, draws + 1, dtype=np.uint64)
-    counters *= GAMMA
-    words = np.add.outer(counters, keys)
-    _mix64_inplace(words)
-    words >>= 11
+    scratch = np.empty_like(keys)
+    stream_keys(seed, keys, keys, scratch)
+    words = np.empty((draws, streams), dtype=np.uint64)
+    for counter, row in enumerate(words):
+        draw_words(keys, counter, row, scratch)
     # Exact: the 53-bit integers convert to doubles without rounding.
     return np.multiply(words, _INV_2_53).T

@@ -3,12 +3,15 @@ import gc
 import json
 import math
 import random
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsim import cli, dsl
 from mzsim import components as comp
@@ -444,34 +447,53 @@ class TestAgainstDenseReference:
         p = random_pipeline(seed)
         assert run_sampled(p, 300, seed).counts == naive_run_sampled(p, 300, seed)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.name)
-    def test_shipped_experiments_sampled_in_small_blocks(self, path, monkeypatch):
+    def test_shipped_experiments_sampled_in_small_blocks(self, path, workers, monkeypatch):
         p = shipped_pipeline(path)
         default = run_sampled(p, 101, 2**64 - 1).counts
         monkeypatch.setattr(exp, "SHOT_BLOCK", 7)
+        monkeypatch.setattr(exp, "_shot_workers", lambda blocks: workers)
         blocked = run_sampled(p, 101, 2**64 - 1).counts
         assert blocked == default == naive_run_sampled(p, 101, 2**64 - 1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_stage_lists_sampled_in_small_blocks(self, seed, monkeypatch):
+    def test_random_stage_lists_sampled_in_small_blocks(self, seed, workers, monkeypatch):
         p = random_pipeline(seed)
         default = run_sampled(p, 150, seed).counts
         monkeypatch.setattr(exp, "SHOT_BLOCK", 7)
+        monkeypatch.setattr(exp, "_shot_workers", lambda blocks: workers)
         blocked = run_sampled(p, 150, seed).counts
         assert blocked == default == naive_run_sampled(p, 150, seed)
 
 
+def float_table(weights):
+    """The float form of a level's sampling table: the (n, B) cumulative
+    weights and, flattened, the (B, n + 1) next-level rows, where entry
+    [b, c] is outcome c's row, the last positive outcome's past it, and -1
+    for a zero-weight outcome."""
+    branches, n = weights.shape
+    positive = weights > 0.0
+    child = np.where(positive, np.cumsum(positive).reshape(branches, n) - 1, -1)
+    last_positive = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    picked = np.minimum(np.arange(n + 1), last_positive[:, None])
+    return np.cumsum(weights, axis=1).T, np.take_along_axis(child, picked, axis=1).ravel()
+
+
 def dict_histogram(pipeline, shots, seed):
-    """`run_sampled` with a dict histogram: the walk's final rows get their
-    records by concatenation level by level, the shots are counted per
-    record with `dict.get` and the records sorted with `sorted`, with none
-    of `BranchTree`'s record readout."""
+    """`run_sampled` on float draws with a dict histogram: each shot counts
+    the float cumulative weights of its branch (`float_table`) at or below
+    its `rng.unit_matrix` draw, the walk's final rows get their records by
+    concatenation level by level, the shots are counted per record with
+    `dict.get` and the records sorted with `sorted`, with none of
+    `_shot_table`'s integer thresholds or `BranchTree`'s record readout."""
     tree = exp._branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
     records = [()]
     for level in tree.levels:
         records = [records[r] + (level.pairs[o],)
                    for r, o in zip(level.rows.tolist(), level.outs.tolist())]
-    tables = [exp._shot_table(level.weights) for level in tree.levels]
+    tables = [float_table(level.weights) for level in tree.levels]
     totals = np.zeros(len(records), dtype=np.int64)
     for start in range(0, shots, exp.SHOT_BLOCK):
         block = min(exp.SHOT_BLOCK, shots - start)
@@ -487,6 +509,28 @@ def dict_histogram(pipeline, shots, seed):
     for i in np.flatnonzero(totals).tolist():
         counts[records[i]] = counts.get(records[i], 0) + int(totals[i])
     return dict(sorted(counts.items()))
+
+
+def threshold_of(c):
+    """`_shot_table`'s threshold of one cumulative weight c, or 2**53 where
+    it drops the column because no draw reaches it."""
+    thresholds, _ = exp._shot_table(np.array([[c, 2.0]]))   # c + 2 is never reached
+    return int(thresholds[0, 0]) if len(thresholds) else 2**53
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(0.0, 2.0**-1022), st.floats(0.0, 1.0),
+                 st.floats(1.0, 4.0), st.integers(0, 2**53).map(lambda k: k * 2.0**-53)),
+       st.integers(0, 2**53 - 1), st.sampled_from([-1, 0, None]))
+def test_a_threshold_is_the_float_comparison(c, m, offset):
+    # A draw u = m * 2**-53 is at or above c exactly when m is at or above
+    # the threshold ceil(c * 2**53); `offset` puts m at t - 1 or at t.
+    t = threshold_of(c)
+    if offset is not None:
+        m = min(max(t + offset, 0), 2**53 - 1)
+    assert (c <= m * 2.0**-53) == (t <= m)
+    if t < 2**53:
+        assert t == math.ceil(c * 2**53)
 
 
 def has_eraser(seed):
@@ -573,10 +617,57 @@ class TestRunSampled:
         p = Pipeline(space, space.basis_state(("y",)),
                      (unitary_on(comp.beam_splitter()), unitary_on(comp.mirror_pair()),
                       unitary_on(comp.beam_splitter()), Detect()))
-        monkeypatch.setattr(rng, "unit_matrix",
-                            lambda seed, streams, draws, first=0: np.full((streams, draws), -1.0))
+        # A word of -1 as int64 is below every threshold, so every shot
+        # would take outcome X.
+        monkeypatch.setattr(rng, "draw_words",
+                            lambda keys, counter, out, scratch: out.fill(2**64 - 1) or out)
         with pytest.raises(RuntimeError, match="zero-probability"):
             run_sampled(p, 10, 1)
+
+    @pytest.mark.parametrize("failing", ["calling", "pool"])
+    def test_a_failing_draw_raises_from_either_thread(self, failing, monkeypatch):
+        # Source B exits at Y only, so a word of -1 picks the zero-probability X.
+        space = comp.direction_space()
+        p = Pipeline(space, space.basis_state(("y",)),
+                     (unitary_on(comp.beam_splitter()), unitary_on(comp.mirror_pair()),
+                      unitary_on(comp.beam_splitter()), Detect()))
+        main, words, calls = threading.main_thread(), rng.draw_words, []
+
+        def draw_words(keys, counter, out, scratch):
+            here = "calling" if threading.current_thread() is main else "pool"
+            calls.append(here)
+            words(keys, counter, out, scratch)
+            return out.fill(2**64 - 1) or out if here == failing else out
+        monkeypatch.setattr(rng, "draw_words", draw_words)
+        monkeypatch.setattr(exp, "SHOT_BLOCK", 7)
+        monkeypatch.setattr(exp, "_shot_workers", lambda blocks: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="zero-probability"):
+            run_sampled(p, 7 * 4000, 1)
+        assert threading.active_count() == before
+        # The other walker stopped after a block in progress, well short of
+        # its 2000 blocks.
+        assert calls.count({"calling": "pool", "pool": "calling"}[failing]) < 2000
+        assert calls.count(failing) == 1
+
+    def test_memory_is_blocks_per_walker_not_per_level(self, monkeypatch):
+        text = "source A\n" + "beamsplitter\nwwreadout\n" * 10 + "beamsplitter\ndetect\n"
+        p = dsl.compile(dsl.parse_text(text))
+        monkeypatch.setattr(exp, "_shot_workers", lambda blocks: 2)
+        run_sampled(p, 2 * exp.SHOT_BLOCK, 1)   # imports the pool before tracing
+        tracemalloc.start()
+        try:
+            tree = exp._branch_tree(p.space, p.initial, p.stages)
+            tables = [exp._shot_table(level.weights) for level in tree.levels]
+            tree_peak = tracemalloc.get_traced_memory()[1]
+            del tree, tables
+            tracemalloc.reset_peak()
+            hist = run_sampled(p, 2_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hist.counts) == 2048 and sum(hist.counts.values()) == 2_000_000
+        assert peak < 2 * exp.SHOT_BLOCK * 64 + tree_peak
 
     def test_counts_sum_to_shots(self):
         hist = run_sampled(eraser_pipeline(0.5), 1234, 3)
@@ -974,6 +1065,21 @@ def test_package_has_no_broad_except():
                      isinstance(name, ast.Name) and name.id in ("Exception", "BaseException")
                      for name in getattr(node.type, "elts", [node.type])))]
         assert broad == [], f"{path.name}: broad except at lines {broad}"
+
+
+def test_package_takes_into_out_only_with_a_mode():
+    # Under the default mode="raise", np.take copies through a buffer when
+    # given `out`, about nine times the cost of the take itself; the walks'
+    # indices are in range by construction, so they pass a mode.
+    package = Path(exp.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        takes = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "take"
+                 and {"out"} <= {k.arg for k in node.keywords}
+                 and "mode" not in {k.arg for k in node.keywords}]
+        assert takes == [], f"{path.name}: np.take with out= and no mode= at lines {takes}"
 
 
 def test_package_reads_no_private_name_of_another():

@@ -292,6 +292,21 @@ def test_a_wrapper_set_after_the_template_sees_the_eta_stack(monkeypatch):
     assert calls == [[0.25, 0.5, 1.0]]
 
 
+def test_a_closed_eraser_counts_its_etas_without_building_matrices(monkeypatch):
+    text = ("source A excited\nbeamsplitter\nentangler\nmirrors\nbeamsplitter\n"
+            "eraser closed eta=p\ndetect\n")
+    family = dsl.sweep_template(dsl.parse_text(text), "p")
+    points = sweep(family, "p", [0.25, 0.5, 1.0]).points
+    monkeypatch.setattr(comp, "eraser_kraus_stack",
+                        lambda etas: pytest.fail("a closed eraser built a Kraus stack"))
+    (swept,) = [s for s in family.stages if isinstance(s, exp.SweptStage)]
+    assert len(swept.stack(np.array([0.5, 1.0, math.nan, 0.7]))) == 2
+    assert sweep(family, "p", [0.25, 0.5, 1.0]).points == points
+    with pytest.raises(dsl.ParseError, match=r"6:1: semantic error: eta must lie in \(0, 1\], "
+                                              r"got 0\.0$"):
+        sweep(family, "p", [0.5, 0.0])
+
+
 def test_long_sweep_memory_is_bounded():
     # 20 000 points of the 24-dim eraser space: one (G, 24, 24) stack would
     # take 176 MiB; chunks keep the walk to a few MiB besides the output.
