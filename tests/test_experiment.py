@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -518,7 +519,7 @@ def threshold_of(c):
     return int(thresholds[0, 0]) if len(thresholds) else 2**53
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.one_of(st.just(0.0), st.floats(0.0, 2.0**-1022), st.floats(0.0, 1.0),
                  st.floats(1.0, 4.0), st.integers(0, 2**53).map(lambda k: k * 2.0**-53)),
        st.integers(0, 2**53 - 1), st.sampled_from([-1, 0, None]))
@@ -624,6 +625,22 @@ class TestRunSampled:
         with pytest.raises(RuntimeError, match="zero-probability"):
             run_sampled(p, 10, 1)
 
+    def test_two_walkers_under_a_short_switch_interval(self, monkeypatch):
+        # Thread switches between nearly every bytecode; the counts must
+        # still be the one-walker counts, shot for shot.
+        p = shipped_pipeline(EXPERIMENTS_DIR / "eraser.mzx")
+        monkeypatch.setattr(exp, "SHOT_BLOCK", 64)
+        monkeypatch.setattr(exp, "_shot_workers", lambda blocks: 1)
+        want = run_sampled(p, 20_011, 5).counts
+        monkeypatch.setattr(exp, "_shot_workers", lambda blocks: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_sampled(p, 20_011, 5).counts
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
     @pytest.mark.parametrize("failing", ["calling", "pool"])
     def test_a_failing_draw_raises_from_either_thread(self, failing, monkeypatch):
         # Source B exits at Y only, so a word of -1 picks the zero-probability X.
@@ -637,7 +654,9 @@ class TestRunSampled:
             here = "calling" if threading.current_thread() is main else "pool"
             calls.append(here)
             words(keys, counter, out, scratch)
-            return out.fill(2**64 - 1) or out if here == failing else out
+            if here == failing:
+                out.fill(2**64 - 1)
+            return out
         monkeypatch.setattr(rng, "draw_words", draw_words)
         monkeypatch.setattr(exp, "SHOT_BLOCK", 7)
         monkeypatch.setattr(exp, "_shot_workers", lambda blocks: 2)
