@@ -15,11 +15,14 @@ views are built only when `.branches` is first read.  `run_sampled` draws
 per-shot outcomes down the same levels with a counter-based RNG (see
 `rng`), SHOT_BLOCK shots at a time, on integers only: a draw's 53-bit word
 against each cumulative weight's integer threshold, which it reaches
-exactly when the float draw reaches the weight.  Up to two threads walk
-the blocks into buffers allocated once, so its memory is O(SHOT_BLOCK x
-threads) for any shot count and depth, and it lists its histogram's
-records in sorted order.  Exact enumeration is always the source of truth
-and sampling is validated against it.
+exactly when the float draw reaches the weight.  A level does only the
+passes that can change a shot's row: no threshold column past the last
+positive outcome, no gather where the next row is the count itself, and
+one `np.bincount` for the last level.  Up to two threads walk the blocks
+into buffers allocated once, so its memory is O(SHOT_BLOCK x threads) for
+any shot count and depth, and it lists its histogram's records in sorted
+order.  Exact enumeration is always the source of truth and sampling is
+validated against it.
 
 Every sum of leaf weights by a record predicate goes through one function,
 `leaf_sums`: `marginal`, `conditional`, the distribution's sum check, both
@@ -86,10 +89,10 @@ ATOL_DELAYED = 1e-12
 #: lifted (rows, n, d, d) stack for n outcomes, gathered per row after a split:
 #: 9 MiB per outcome and row per point at d = 24, the largest space `dsl` builds.
 SWEEP_CHUNK = 1024
-#: Shots per sampling block.  A walker's buffers take SHOT_BLOCK x 57 bytes,
+#: Shots per sampling block.  A walker's buffers take SHOT_BLOCK x 49 bytes,
 #: whatever the number of measurement stages.  On two threads, 2**14 ran
-#: about 1.7 times slower than 2**15, and 2**16 was no faster with 3.6 MiB
-#: more of buffers.
+#: about 1.8 times slower than 2**15, and 2**16 at most 4 % faster with
+#: 3.1 MiB more of buffers.
 SHOT_BLOCK = 1 << 15
 #: 2**53: a draw's word m is below it, and u = m / _WORDS.
 _WORDS = float(1 << 53)
@@ -636,29 +639,38 @@ class ShotHistogram:
         return self.counts.get(record, 0) / self.shots
 
 
-def _shot_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shot_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Sampling table of one level of (B, n) outcome weights.
 
     A draw u = m * 2**-53 (`rng.draw_words`) is at or above a cumulative
     weight c exactly when m >= ceil(c * 2**53): scaling by a power of two is
-    exact, and m is an integer.  Returns those int64 thresholds as a (k, B)
-    array, less the trailing columns that no draw reaches (every threshold
-    at or above 2**53; a cumulative weight never falls along a row), and,
-    flattened, a (B, k + 1) table of next-level rows: entry [b, c] is the
-    row a shot in branch b moves to when c of the branch's thresholds are at
-    or below its word.  That is outcome c's row, except that roundoff at the
-    top end (c past the last positive outcome) picks the last positive
-    outcome.  A zero-weight outcome has no row: -1.
+    exact, and m is an integer.  Returns three things:
+    - those int64 thresholds as a (k, B) array;
+    - flattened, a (B, k + 1) table of next-level rows: entry [b, c] is the
+      row a shot in branch b moves to when c of the branch's thresholds are
+      at or below its word.  That is outcome c's row, except that c past
+      the last positive outcome (roundoff at the top end) picks the last
+      positive outcome.  A zero-weight outcome has no row: -1;
+    - whether that table is the identity, so that the count is the row.
+
+    Column j is kept only while a draw can reach it (some threshold below
+    2**53; a cumulative weight never falls along a row) and some row has a
+    positive outcome past j: once a count reaches a row's last positive
+    outcome, further columns pick that outcome again.  So k is at most
+    n - 1, one column for two outcomes, and at least 1, so the walk always
+    has a first column to compare.
     """
     branches, n = weights.shape
     positive = weights > 0.0
     child = np.where(positive, np.cumsum(positive).reshape(branches, n) - 1, -1)
     last_positive = n - 1 - np.argmax(positive[:, ::-1], axis=1)
     thresholds = np.ceil(np.cumsum(weights, axis=1).T * _WORDS).astype(np.int64)
-    k = np.count_nonzero((thresholds < _WORDS).any(axis=1))
+    reachable = np.count_nonzero((thresholds < _WORDS).any(axis=1))
+    k = max(min(reachable, int(last_positive.max())), 1)
     picked = np.minimum(np.arange(k + 1), last_positive[:, None])
-    next_row = np.take_along_axis(child, picked, axis=1)
-    return thresholds[:k].copy(), next_row.ravel()
+    next_row = np.take_along_axis(child, picked, axis=1).ravel()
+    identity = bool((next_row == np.arange(next_row.size)).all())
+    return thresholds[:k].copy(), next_row, identity
 
 
 def _shot_workers(blocks: int) -> int:
@@ -671,50 +683,76 @@ def _shot_workers(blocks: int) -> int:
     return min(blocks, cpus, 2)
 
 
-def _walk_blocks(tables: list[tuple[np.ndarray, np.ndarray]], seed: int, shots: int,
-                 leaves: int, first: int, step: int, stop: threading.Event) -> np.ndarray:
-    """The final-row counts of shot blocks first, first + step, ... of
-    `run_sampled`'s walk over the levels' `_shot_table`s.
+def _walk_blocks(tables: list[tuple[np.ndarray, np.ndarray, bool]], seed: int,
+                 shots: int, first: int, step: int, stop: threading.Event) -> np.ndarray:
+    """The counts of shot blocks first, first + step, ... of `run_sampled`'s
+    walk over the levels' `_shot_table`s, per entry of the last level's
+    next-row table: entry b * (k + 1) + c counts the shots in that level's
+    branch b that reached c of its k thresholds.
+
+    Each level does only the passes whose result can differ between shots.
+    The first column's compare writes the count itself, as intp; each
+    further column adds its compare.  A level whose next-row table is the
+    identity takes the count index as the next row by swapping buffers, and
+    the last level is counted with one `np.bincount`, whose bins are checked
+    for zero-weight outcomes once per block.  The root has one row, so it
+    compares with scalar thresholds and gathers nothing.
 
     The buffers are allocated once, each of one block's length, and every
-    block writes into them.  The walk stops after the block in progress
-    once `stop` is set, and sets it itself if it fails.
+    block writes into them: the key bases of the walker's first block, the
+    keys, the words, the mixer's scratch (which, once the words are drawn,
+    holds the gathered thresholds and the row offsets), the count index,
+    the row and the passed flags.  A block's keys are its bases plus its
+    offset times `rng.GAMMA`, mixed.  The walk stops after the block in
+    progress once `stop` is set, and sets it itself if it fails.
     """
     size = min(SHOT_BLOCK, shots)
-    streams = np.arange(first * SHOT_BLOCK, first * SHOT_BLOCK + size, dtype=np.uint64)
+    bases = np.arange(first * SHOT_BLOCK, first * SHOT_BLOCK + size, dtype=np.uint64)
+    rng.key_bases(seed, bases, bases)
     buffers = (*(np.empty(size, dtype=np.uint64) for _ in range(3)),
-               *(np.empty(size, dtype=np.intp) for _ in range(3)), np.empty(size, dtype=bool))
-    totals = np.zeros(leaves, dtype=np.int64)
+               *(np.empty(size, dtype=np.intp) for _ in range(2)), np.empty(size, dtype=bool))
+    roots = tables[0][0][:, 0].tolist()
+    last = len(tables) - 1
+    dead = tables[-1][1] < 0
+    totals = np.zeros(len(dead), dtype=np.int64)
     done = False
     try:
         for start in range(first * SHOT_BLOCK, shots, step * SHOT_BLOCK):
             if stop.is_set():
                 break
             block = min(SHOT_BLOCK, shots - start)   # short only for the last block
-            keys, words, scratch, at, row, gathered, passed = (
-                buffer[:block] for buffer in buffers)
-            rng.stream_keys(seed, streams[:block], keys, scratch)
-            m = words.view(np.int64)
-            for depth, (thresholds, next_row) in enumerate(tables):
+            keys, words, scratch, at, row, passed = (buffer[:block] for buffer in buffers)
+            rng.stream_keys(bases[:block], start - first * SHOT_BLOCK, keys, scratch)
+            m, gathered = words.view(np.int64), scratch.view(np.int64)
+            for depth, (thresholds, next_row, identity) in enumerate(tables):
                 rng.draw_words(keys, depth, words, scratch)
-                # Count the thresholds of each shot's branch at or below its
-                # word, as searchsorted(thresholds, m, side="right") would.
+                # at = row * (k + 1) + the number of the row's thresholds at
+                # or below the word, as searchsorted(..., side="right") counts.
                 if depth == 0:   # the one root row: scalar thresholds, no gather
-                    at.fill(0)
-                    for threshold in thresholds[:, 0].tolist():
+                    np.greater_equal(m, roots[0], out=at)
+                    for threshold in roots[1:]:
                         np.greater_equal(m, threshold, out=passed)
                         at += passed
                 else:
-                    np.multiply(row, len(thresholds) + 1, out=at)
-                    for column in thresholds:
+                    np.take(thresholds[0], row, out=gathered, mode="clip")
+                    np.less_equal(gathered, m, out=at)
+                    for column in thresholds[1:]:
                         np.take(column, row, out=gathered, mode="clip")
                         np.less_equal(gathered, m, out=passed)
                         at += passed
-                np.take(next_row, at, out=row, mode="clip")
-                if row.min() < 0:
-                    raise RuntimeError("drew a zero-probability outcome")
-            totals += np.bincount(row, minlength=leaves)
-            streams += step * SHOT_BLOCK
+                    np.multiply(row, len(thresholds) + 1, out=gathered)
+                    at += gathered
+                if depth == last:
+                    counts = np.bincount(at, minlength=len(totals))
+                    if counts[dead].any():
+                        raise RuntimeError("drew a zero-probability outcome")
+                    totals += counts
+                elif identity:
+                    at, row = row, at
+                else:
+                    np.take(next_row, at, out=row, mode="clip")
+                    if row.min() < 0:
+                        raise RuntimeError("drew a zero-probability outcome")
         done = True
     finally:
         if not done:
@@ -736,9 +774,11 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     The walk compares integers only: each draw is its 53-bit word m
     (`rng.draw_words`), and each cumulative weight the least integer
     threshold that m reaches exactly when the draw reaches the weight
-    (`_shot_table`).  Each walker allocates its buffers once, eight arrays
-    of one block's length (57 bytes per shot), and every block writes
-    into them.
+    (`_shot_table`).  Each walker allocates its buffers once, seven arrays
+    of one block's length (49 bytes per shot), and every block writes
+    into them (`_walk_blocks`).  The walkers count the last level's count
+    indices; those counts are mapped to final rows through the last
+    next-row table once, here.
 
     Blocks 0, w, 2w, ... are walked in the calling thread and the others in
     one pool thread, where w, the number of walkers, is the least of the
@@ -761,16 +801,19 @@ def run_sampled(pipeline: Pipeline, shots: int, seed: int) -> ShotHistogram:
     levels = tree.levels   # at least the detect stage's
     tables = [_shot_table(level.weights) for level in levels]
     workers = _shot_workers(-(-shots // SHOT_BLOCK))
-    walk = partial(_walk_blocks, tables, seed, shots, len(levels[-1].rows),
-                   step=workers, stop=threading.Event())
+    walk = partial(_walk_blocks, tables, seed, shots, step=workers, stop=threading.Event())
     if workers == 1:
-        totals = walk(0)
+        binned = walk(0)
     else:
         # Imported here: it takes milliseconds, and only sampling uses it.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1) as pool:
             theirs = pool.submit(walk, 1)
-            totals = walk(0) + theirs.result()
+            binned = walk(0) + theirs.result()
+    next_row = tables[-1][1]
+    kept = next_row >= 0
+    totals = np.zeros(len(levels[-1].rows), dtype=np.int64)
+    np.add.at(totals, next_row[kept], binned[kept])
     hit = np.flatnonzero(totals)
     counts = dict(sorted(zip(tree.records(tree.outcomes(hit)), totals[hit].tolist())))
     return ShotHistogram(shots=shots, seed=seed, counts=counts)

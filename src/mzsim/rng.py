@@ -14,9 +14,11 @@ increment 0x9E3779B97F4A7C15.  All arithmetic is modulo 2**64.
 Uniform doubles take the top 53 bits of a draw x: the word m = x >> 11 is
 an integer in [0, 2**53), and u = m * 2**-53 is exact and lies in [0, 1).
 `draw_words` writes the words of one counter of many streams into arrays
-the caller passes in, from their keys (`stream_keys`); `unit_matrix` is the
-float view of those same words.  The vectorized helpers produce the exact
-same bits as the scalar ones.
+the caller passes in, from their keys; `stream_keys` makes those keys from
+the streams' key bases mix64(seed) + stream * GAMMA (`key_bases`), so a
+caller that walks the same streams shifted by an offset keeps the bases and
+adds offset * GAMMA.  `unit_matrix` is the float view of those same words.
+The vectorized helpers produce the exact same bits as the scalar ones.
 """
 
 from __future__ import annotations
@@ -79,16 +81,29 @@ def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_keys(seed: int, streams: np.ndarray, out: np.ndarray,
-                scratch: np.ndarray) -> np.ndarray:
-    """Write stream_key(seed, streams[i]) into out[i] and return `out`.
+def key_bases(seed: int, streams: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the key base mix64(seed) + streams[i] * GAMMA of each stream
+    into out[i] and return `out`: `stream_keys` turns bases into keys.
 
-    `streams`, `out` and `scratch` are uint64 arrays of one shape; `scratch`
-    is overwritten.  Array arithmetic on uint64 wraps modulo 2**64, as the
-    scalar functions mask.
+    `streams` and `out` are uint64 arrays of one shape, and may be one
+    array.  Array arithmetic on uint64 wraps modulo 2**64, as the scalar
+    functions mask.
     """
     np.multiply(streams, GAMMA, out=out)
     out += mix64(seed)
+    return out
+
+
+def stream_keys(bases: np.ndarray, offset: int, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """Write stream_key(seed, stream_i + offset) into out[i] and return
+    `out`, where bases[i] is stream_i's key base (`key_bases`): shifting a
+    stream by `offset` adds offset * GAMMA to its base, modulo 2**64.
+
+    `bases`, `out` and `scratch` are uint64 arrays of one shape; `scratch`
+    is overwritten, and `out` may be `bases`.
+    """
+    np.add(bases, (offset * GAMMA) & _MASK64, out=out)
     return _mix64_inplace(out, scratch)
 
 
@@ -120,7 +135,7 @@ def unit_matrix(seed: int, streams: int, draws: int, first: int = 0) -> np.ndarr
     """
     keys = np.arange(first, first + streams, dtype=np.uint64)
     scratch = np.empty_like(keys)
-    stream_keys(seed, keys, keys, scratch)
+    stream_keys(key_bases(seed, keys, keys), 0, keys, scratch)
     words = np.empty((draws, streams), dtype=np.uint64)
     for counter, row in enumerate(words):
         draw_words(keys, counter, row, scratch)

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -513,10 +514,9 @@ def dict_histogram(pipeline, shots, seed):
 
 
 def threshold_of(c):
-    """`_shot_table`'s threshold of one cumulative weight c, or 2**53 where
-    it drops the column because no draw reaches it."""
-    thresholds, _ = exp._shot_table(np.array([[c, 2.0]]))   # c + 2 is never reached
-    return int(thresholds[0, 0]) if len(thresholds) else 2**53
+    """`_shot_table`'s threshold of one cumulative weight c: a table keeps at
+    least its first column, and c + 2 past it is never reached."""
+    return int(exp._shot_table(np.array([[c, 2.0]]))[0][0, 0])
 
 
 @settings(max_examples=500, deadline=None)
@@ -532,6 +532,61 @@ def test_a_threshold_is_the_float_comparison(c, m, offset):
     assert (c <= m * 2.0**-53) == (t <= m)
     if t < 2**53:
         assert t == math.ceil(c * 2**53)
+
+
+@st.composite
+def level_chains(draw):
+    """The (B, n) weights of 1 to 4 levels, where level i + 1 has a row per
+    positive weight of level i, as `_branch_tree` makes them.  Zero weights
+    fall first, in the middle and last, a row may have one positive outcome,
+    a row may sum to just under 1 (so its total column is below 2**53) or a
+    quarter under it (so draws land past its last positive outcome), and a
+    level may be all positive (an identity next-row table)."""
+    levels, rows = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        n, dense = draw(st.integers(1, 3)), draw(st.booleans())
+        weights = []
+        for _ in range(rows):
+            mask = [True] * n if dense else draw(
+                st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+            raw = [draw(st.floats(0.01, 1.0)) if positive else 0.0 for positive in mask]
+            under = draw(st.sampled_from([0.0, 0.0, 2.0**-53, 3 * 2.0**-53, 0.25]))
+            weights.append([w / sum(raw) * (1.0 - under) for w in raw])
+        levels.append(np.array(weights))
+        rows = int(np.count_nonzero(levels[-1] > 0.0))
+    return levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_chains(), st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 23))
+def test_walked_blocks_are_the_float_walk_shot_by_shot(levels, seed, block, shots):
+    # The float reference: each shot counts the float cumulative weights of
+    # its branch at or below its `rng.unit_matrix` draw, level by level.
+    draws = rng.unit_matrix(seed, shots, len(levels))
+    row = np.zeros(shots, dtype=np.intp)
+    for depth, (cum, next_row) in enumerate(map(float_table, levels)):
+        at = row * (len(cum) + 1)
+        for column in cum:
+            at += np.take(column, row) <= draws[:, depth]
+        row = np.take(next_row, at)
+        assert row.min() >= 0
+    tables = [exp._shot_table(weights) for weights in levels]
+    for weights, (thresholds, next_row, identity) in zip(levels, tables):
+        n = weights.shape[1]
+        assert 1 <= len(thresholds) <= max(n - 1, 1)
+        if (weights > 0.0).all() and n > 1:
+            assert len(thresholds) == n - 1 and identity
+        assert identity == (next_row.tolist() == list(range(len(next_row))))
+    next_row = tables[-1][1]
+    blocks = -(-shots // block)   # the last one short unless block divides shots
+    with mock.patch.object(exp, "SHOT_BLOCK", block):
+        for b in range(blocks):   # one walk per block: shot by shot when block is 1
+            counts = exp._walk_blocks(tables, seed, shots, b, blocks, threading.Event())
+            assert not counts[next_row < 0].any()
+            got = np.zeros(np.count_nonzero(levels[-1] > 0.0), dtype=np.int64)
+            np.add.at(got, next_row[next_row >= 0], counts[next_row >= 0])
+            want = np.bincount(row[b * block:(b + 1) * block], minlength=len(got))
+            assert got.tolist() == want.tolist()
 
 
 def has_eraser(seed):
@@ -648,7 +703,12 @@ class TestRunSampled:
         p = Pipeline(space, space.basis_state(("y",)),
                      (unitary_on(comp.beam_splitter()), unitary_on(comp.mirror_pair()),
                       unitary_on(comp.beam_splitter()), Detect()))
-        main, words, calls = threading.main_thread(), rng.draw_words, []
+        main, words, walk = threading.main_thread(), rng.draw_words, exp._walk_blocks
+        calls, stops, waited = [], [], []
+
+        def walk_blocks(*args, stop, **kwargs):
+            stops.append(stop)
+            return walk(*args, stop=stop, **kwargs)
 
         def draw_words(keys, counter, out, scratch):
             here = "calling" if threading.current_thread() is main else "pool"
@@ -656,7 +716,13 @@ class TestRunSampled:
             words(keys, counter, out, scratch)
             if here == failing:
                 out.fill(2**64 - 1)
+            elif not waited:
+                # Go on only once the failing walker has raised and set the
+                # walk's stop, so this walker cannot run all its blocks
+                # within one switch interval before the failure.
+                waited.append(stops[0].wait(timeout=10))
             return out
+        monkeypatch.setattr(exp, "_walk_blocks", walk_blocks)
         monkeypatch.setattr(rng, "draw_words", draw_words)
         monkeypatch.setattr(exp, "SHOT_BLOCK", 7)
         monkeypatch.setattr(exp, "_shot_workers", lambda blocks: 2)

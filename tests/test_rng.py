@@ -63,6 +63,21 @@ def test_unit_matrix_far_first_stream_matches_scalar_draws():
             assert u[i, k] == rng.draw_unit(MASK, first + i, k)
 
 
+@pytest.mark.parametrize("seed", [0, 99, MASK])
+def test_keys_from_key_bases_match_stream_key(seed):
+    # A stream shifted by an offset keeps its base; streams near 2**64 wrap.
+    listed = [0, 1, 2**40 + 5, 2**63, MASK - 2, MASK]
+    streams = np.array(listed, dtype=np.uint64)
+    bases = rng.key_bases(seed, streams, np.empty_like(streams))
+    assert bases.tolist() == [(rng.mix64(seed) + s * rng.GAMMA) & MASK for s in listed]
+    scratch = np.empty_like(bases)
+    for offset in (0, 1, 7, 2**15, 3 * 2**15 + 11, MASK):
+        keys = rng.stream_keys(bases, offset, np.empty_like(bases), scratch)
+        assert keys.tolist() == [rng.stream_key(seed, s + offset) for s in listed]
+    in_place = rng.stream_keys(rng.key_bases(seed, streams, streams), 5, streams, scratch)
+    assert in_place.tolist() == [rng.stream_key(seed, s + 5) for s in listed]
+
+
 def test_unit_range_and_spread():
     u = rng.unit_matrix(seed=3, streams=1000, draws=4)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
