@@ -4,11 +4,18 @@
     mzx sweep FILE --param NAME --from A --to B --steps K [--format ...] [--given ...]
     mzx validate FILE
 
-Exit codes: 0 success; 1 parse/validation error (also a bad seed, a
-non-finite sweep grid, or a `--given` pair with an empty key or value or a
-repeated key); 2 I/O error; 3 conditioning on a zero-probability event; 4
-sweep with fewer than 2 steps or more than MAX_SWEEP_STEPS (10**6),
-checked before the grid is built.
+Exit codes:
+
+    0  success
+    1  parse/validation error (also a bad seed, a non-finite sweep grid, or
+       a `--given` pair with an empty key or value or a repeated key)
+    2  I/O error; also an argparse usage error, such as a bad `--from`
+       number or a missing `--param`, which argparse reports with its usage
+    3  conditioning on a zero-probability event
+    4  sweep with fewer than 2 steps or more than MAX_SWEEP_STEPS (10**6),
+       checked before the grid is built
+    5  out of memory: a valid file whose run or sweep needs more memory than
+       the process can allocate, reported as one `error: out of memory:` line
 
 Output is deterministic: identical file bytes, flags, and seed produce
 byte-identical output.  CSV uses ',' separators, '.' decimal points, LF
@@ -40,6 +47,7 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_ZERO_CONDITION = 3
 EXIT_BAD_GRID = 4
+EXIT_OUT_OF_MEMORY = 5
 #: Most grid points `mzx sweep` takes: the grid, its results and the whole
 #: output text are held in memory.  A 10**5-step sweep of
 #: experiments/eraser_phase.mzx peaked at 170 MiB of RSS in JSON and 97 MiB
@@ -342,8 +350,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        message, code = str(exc), exc.code
+    except MemoryError as exc:
+        # Written once the handler has let go of the failed walk's frames.
+        message, code = f"out of memory: {exc}", EXIT_OUT_OF_MEMORY
+    sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

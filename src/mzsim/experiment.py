@@ -6,6 +6,8 @@ branch of positive probability, one measurement level at a time, as the
 rows of a (branches, d) amplitude array.  It keeps, per level, the outcome
 weights and which parent row and outcome each next row came from, so a
 final row's record is read back from those arrays only when it is needed.
+Each row also carries its grid point, so no question about a row's point
+walks the levels back up.
 
 Results are columnar.  `run_analytic` returns an `OutcomeDistribution` of
 the leaves' records, a `probs` array and one read-only (leaves, d) block of
@@ -31,7 +33,8 @@ shot counts.  It adds the weights with one `np.bincount` over (predicate,
 grid point) bins, each bin in leaf order from 0.0, so every sum is a
 left-to-right loop's bit for bit, and it calls each predicate once per
 distinct record.  The walk drops leaves below PRUNE_PROB and counts the
-probability they held (`pruned`), so the sum check reads kept + pruned.
+probability they held per grid point (`pruned`, one `np.bincount` in leaf
+order from 0.0 as well), so the sum check reads kept + pruned.
 
 Each stage kind checks and applies itself: `Stage.problem` is its
 validation message and `Stage.operators` what the walk applies, so neither
@@ -504,38 +507,33 @@ class BranchTree(NamedTuple):
     `levels` holds every measurement `Level` in stage order.  The leaves,
     the final rows that no branch below PRUNE_PROB leads to, are arrays in
     grid-point order, depth-first within a point: their final-row indices
-    `leaves`, probabilities `probs` and normalized amplitudes `amps`, one
-    (L, d) block.  `pruned` holds, per grid point, the probability of the
-    final rows that are not leaves.  `outcomes` and `records` read a final
-    row's record back from the levels, for the rows asked for.
+    `leaves`, grid `points`, probabilities `probs` and normalized amplitudes
+    `amps`, one (L, d) block.  `pruned` holds, per grid point, the
+    probability of the final rows that are not leaves.  `outcomes` and
+    `records` read a final row's record back from the levels, for the rows
+    asked for.
     """
 
     levels: list[Level]
     leaves: np.ndarray
+    points: np.ndarray
     probs: np.ndarray
     amps: np.ndarray
     pruned: np.ndarray
 
     def outcomes(self, final_rows: np.ndarray) -> list[np.ndarray]:
         """The outcome each of `final_rows` took at every level, one array
-        per level in stage order."""
-        return _ancestry(self.levels, final_rows)[0]
+        per level in stage order, found by walking the rows up."""
+        columns, rows = [], final_rows
+        for level in reversed(self.levels):
+            columns.append(level.outs[rows])
+            rows = level.rows[rows]
+        return columns[::-1]
 
     def records(self, outcomes: list[np.ndarray]) -> list[Record]:
         """The records of the rows whose `outcomes` are given."""
         return list(zip(*(level.pairs[column].tolist()
                           for level, column in zip(self.levels, outcomes))))
-
-
-def _ancestry(levels: list[Level], rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The outcome each of `rows` (of the level after `levels`) took at every
-    level, one array per level in stage order, and the first level's row it
-    descends from, which is its grid point: found by walking the rows up."""
-    columns = []
-    for level in reversed(levels):
-        columns.append(level.outs[rows])
-        rows = level.rows[rows]
-    return columns[::-1], rows
 
 
 def _branch_tree(space: SpaceSpec, initial: StateVector,
@@ -561,25 +559,30 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     BLAS product in the last bit (FMA), and the stored outputs pin those
     bits.
 
-    A swept stage comes as (template stage, `SweptStage.stack` at the
-    points), lifted as one (points, n, d, d) stack.  Every point keeps a row
-    (its weights sum to 1), so while B equals `points` the rows are the
-    points in order; a level with more rows gathers each row's matrices.
+    Each row carries its grid point in `point`, which starts as
+    `arange(points)` and follows the rows' parents at every level.  A swept
+    stage comes as (template stage, `SweptStage.stack` at the points),
+    lifted as one (points, n, d, d) stack.  Every point keeps a row (its
+    weights sum to 1), so while B equals `points` the rows are the points
+    in order; a level with more rows gathers each row's matrices by its
+    point.
 
     The leaves are the final rows kept at or above PRUNE_PROB (see
     `BranchTree`), not checked here; the others' probability is summed per
-    point as `pruned`.  Stage order is taken as given (the
-    delayed-choice check runs stage lists that would not validate).
+    point as `pruned`, with one `np.bincount` over their points.  Stage
+    order is taken as given (the delayed-choice check runs stage lists that
+    would not validate).
     """
     amps = initial.amps[None, :].repeat(points, axis=0)
     prob = np.ones(points)
     kept = np.ones(points, dtype=bool)
+    point = np.arange(points)
     levels: list[Level] = []
     for stage in stages:
         stage, local = stage if isinstance(stage, tuple) else (stage, None)
         key, (outcomes, mats) = stage.record_key, stage.operators(space, local)
         if local is not None and len(amps) > points:
-            mats = mats[_ancestry(levels, np.arange(len(amps)))[1]]
+            mats = mats[point]
         if key is None:
             amps = np.matmul(mats[..., 0, :, :], amps[..., None])[..., 0]
             continue
@@ -595,16 +598,15 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
         amps = sub[rows, outs] / np.sqrt(weight)[:, None]
         prob = prob[rows] * weight
         kept = kept[rows] & (prob >= PRUNE_PROB)
+        point = point[rows]
         # A 1-D object array of the (key, outcome) pairs, tuples kept whole.
         pairs = np.fromiter(((key, outcome) for outcome in outcomes), dtype=object,
                             count=len(outcomes))
         levels.append(Level(pairs, weights, rows, outs))
-    leaves, dropped = kept.nonzero()[0], (~kept).nonzero()[0]
-    pruned = np.zeros(points)
-    if dropped.size:   # rare; their records are not read, so each is the empty one
-        pruned = leaf_sums([()] * len(dropped), prob[dropped], [()],
-                           points=_ancestry(levels, dropped)[1], grid=points)[0]
-    return BranchTree(levels, leaves, prob[leaves], amps[leaves], pruned)
+    leaves, dropped = kept.nonzero()[0], ~kept
+    # Float zeros when nothing is dropped, where an empty bincount gives ints.
+    pruned = np.bincount(point[dropped], prob[dropped], points).astype(float)
+    return BranchTree(levels, leaves, point[leaves], prob[leaves], amps[leaves], pruned)
 
 
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
@@ -874,10 +876,10 @@ def _chunk_points(tree: BranchTree, grid: Sequence[float],
     """The points of one walk over `grid`, equal to the per-point ones: the
     leaves' sums come from one `leaf_sums` call over their distinct
     records."""
-    outcomes, points = _ancestry(tree.levels, tree.leaves)
+    outcomes = tree.outcomes(tree.leaves)
     # Number the leaves' outcome paths densely, level by level, and read the
     # record of each path once.
-    path, paths = np.zeros(len(points), dtype=np.intp), 1
+    path, paths = np.zeros(len(tree.leaves), dtype=np.intp), 1
     for level, column in zip(tree.levels, outcomes):
         path = path * len(level.pairs) + column
         seen = np.zeros(paths * len(level.pairs), dtype=bool)
@@ -887,7 +889,7 @@ def _chunk_points(tree: BranchTree, grid: Sequence[float],
     leaf = np.empty(paths, dtype=np.intp)
     leaf[path] = np.arange(len(path))
     records = tree.records([column[leaf] for column in outcomes])
-    return _sweep_points(records, tree.probs, given, grid, tree.pruned, path, points)
+    return _sweep_points(records, tree.probs, given, grid, tree.pruned, path, tree.points)
 
 
 def _sweep_points(records: Sequence[Record], probs: np.ndarray, given: Predicate | None,

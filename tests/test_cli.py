@@ -409,17 +409,58 @@ class TestValidate:
         assert run_err == f"error: {err}"
 
 
-def test_console_entry_point_runs_in_subprocess():
-    # The child finds the package the way this process did, also when the
-    # source directory came from pytest's `pythonpath` setting.
+def child_env(**extra):
+    """The environment of a child Python that finds the package the way
+    this process did, also when the source directory came from pytest's
+    `pythonpath` setting, with `extra` variables set."""
     src = str(EXPERIMENT_DIR.parent / "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **extra}
+
+
+def test_console_entry_point_runs_in_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "mzsim", "run", path("baseline.mzx")],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+        capture_output=True, text=True, timeout=60, env=child_env())
     assert result.returncode == 0
     assert result.stdout == "detector=X  1\n"
+
+
+#: A child that limits its own address space to 800 MiB and then runs `mzx`
+#: on its arguments; OPENBLAS_NUM_THREADS=1 keeps numpy's import far below it.
+LIMITED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (800 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from mzsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_5_in_one_line(tmp_path):
+    # 82 valid lines whose branches double 40 times: the walk runs out of
+    # memory long before its last level.
+    pytest.importorskip("resource")
+    deep = tmp_path / "deep.mzx"
+    deep.write_text("source A\n" + "beamsplitter\nwwreadout\n" * 40 + "detect\n")
+    result = subprocess.run(
+        [sys.executable, "-c", LIMITED_CHILD, "run", str(deep)],
+        capture_output=True, text=True, timeout=120, env=child_env(OPENBLAS_NUM_THREADS="1"))
+    assert (result.returncode, result.stdout) == (5, "")
+    assert result.stderr.startswith("error: out of memory: ")
+    assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("run_analytic", ("run", path("eraser.mzx"))),
+    ("sweep", ("sweep", path("eraser_phase.mzx"), "--param", "phi", "--from", "0",
+               "--to", "2pi", "--steps", "8")),
+])
+def test_memory_error_exits_5(capsys, monkeypatch, command, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli.experiment, command, exhausted)
+    assert run_cli(capsys, *argv) == (5, "", "error: out of memory: Unable to allocate 1.00 TiB\n")
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

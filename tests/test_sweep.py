@@ -248,6 +248,140 @@ def test_pruned_points_equal_point_by_point():
     assert reference[2]   # points, not an error
 
 
+def walked_trees(family, grid):
+    """Each `_branch_tree` walk that `sweep(family, ...)` makes over `grid`,
+    up to the first value a swept stage rejects, with the `run_analytic`
+    distributions of its points."""
+    trees, walk = [], exp._branch_tree
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exp, "_branch_tree", lambda *args: trees.append(walk(*args)) or trees[-1])
+        try:
+            sweep(family, "p", grid)
+        except dsl.ParseError:
+            pass
+    return [(tree, [exp.run_analytic(family(value)) for value in grid[:len(tree.pruned)]])
+            for tree in trees]
+
+
+def tree_pruned_dropping(family, grid):
+    """Checks that each walked point's pruned mass and leaf probabilities
+    are those of `run_analytic` at that point, bit for bit; returns the
+    number of points that drop mass."""
+    dropping = 0
+    for tree, dists in walked_trees(family, grid):
+        assert [p.hex() for p in tree.pruned.tolist()] == [d.pruned.hex() for d in dists]
+        assert tree.probs.tobytes() == np.concatenate([d.probs for d in dists]).tobytes()
+        dropping += np.count_nonzero(tree.pruned)
+    return dropping
+
+
+def check_tree_points(family, grid):
+    """Checks that a walk's leaf points list each grid point once per leaf
+    of that point, in grid order."""
+    for tree, dists in walked_trees(family, grid):
+        assert tree.points.tolist() == [g for g, d in enumerate(dists) for _ in d.records]
+
+
+SHIPPED_DROPPING = [("eraser_phase.mzx", 2), ("baseline_phase.mzx", 1), ("entangler_phase.mzx", 0)]
+
+
+@pytest.mark.parametrize("name, dropping", SHIPPED_DROPPING)
+@pytest.mark.parametrize("steps", [16, 64])
+def test_tree_pruned_equals_point_by_point(name, dropping, steps):
+    # Roundoff rows are dropped at some points of these grids and not at the
+    # others, so each point's pruned sum must come from its own rows.
+    grid = [i * 2.0 * math.pi / steps for i in range(steps)]
+    family = dsl.sweep_template(load(name), "phi")
+    assert tree_pruned_dropping(family, grid) == dropping
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SHIPPED_DROPPING])
+@pytest.mark.parametrize("steps", [16, 64])
+def test_tree_points_list_each_point_per_leaf(name, steps):
+    grid = [i * 2.0 * math.pi / steps for i in range(steps)]
+    check_tree_points(dsl.sweep_template(load(name), "phi"), grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(templates(), grids)
+def test_generated_tree_pruned_equals_point_by_point(text, grid):
+    tree_pruned_dropping(dsl.sweep_template(dsl.parse_text(text), "p"), grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(templates(), grids)
+def test_generated_tree_points_list_each_point_per_leaf(text, grid):
+    check_tree_points(dsl.sweep_template(dsl.parse_text(text), "p"), grid)
+
+
+@st.composite
+def fringe_programs(draw):
+    """A `.mzx` file whose one free parameter `p` is a phase, set by 1 to 3
+    `phase A|B p` directives beside one fixed phase, and the number m of
+    those directives.  It has an entangler with an open, closed or no
+    eraser, or none and up to two `wwreadout`s."""
+    entangler = draw(st.booleans())
+    body = ["beamsplitter", "mirrors", "beamsplitter"]
+    m = draw(st.integers(1, 3))
+    phases = [f"phase {draw(st.sampled_from('AB'))} p" for _ in range(m)]
+    fixed = repr(draw(st.floats(-7.0, 7.0)))
+    for phase in phases + [f"phase {draw(st.sampled_from('AB'))} {fixed}"]:
+        body.insert(draw(st.integers(0, len(body))), phase)
+    if entangler:
+        body.insert(draw(st.integers(0, len(body))), "entangler")
+        eraser = draw(st.sampled_from([None, "open", "closed"]))
+        if eraser is not None:
+            eta = draw(st.sampled_from(["", "eta=0.5", "eta=1.0",
+                                        f"eta={draw(st.floats(1e-3, 1.0))!r}"]))
+            at = draw(st.integers(body.index("entangler") + 1, len(body)))
+            body.insert(at, f"eraser {eraser} {eta}".rstrip())
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            body.insert(draw(st.integers(0, len(body))), "wwreadout")
+    source = f"source {draw(st.sampled_from('AB'))}" + draw(st.sampled_from(["", " excited"]))
+    return "\n".join([source, *body, "detect"]) + "\n", m
+
+
+def fringe_fit(family, degree):
+    """The trigonometric polynomial of `degree` in p through `sweep`'s
+    (prob_x, prob_y) at 2 degree + 1 equispaced nodes on [0, 2 pi), its
+    coefficients taken with an FFT, as a function of an array of p."""
+    nodes = 2 * degree + 1
+    points = sweep(family, "p", [2.0 * math.pi * j / nodes for j in range(nodes)]).points
+    coefficients = np.fft.fft([[p.prob_x, p.prob_y] for p in points], axis=0) / nodes
+    k = np.fft.fftfreq(nodes, 1.0 / nodes)   # 0, 1, ..., degree, -degree, ..., -1
+    return lambda phis: (np.exp(1j * np.outer(phis, k)) @ coefficients).real
+
+
+def fringe_miss(family, degree, phis):
+    """The largest distance between `sweep` at `phis` and the fit."""
+    swept = [[p.prob_x, p.prob_y] for p in sweep(family, "p", list(phis)).points]
+    return np.abs(fringe_fit(family, degree)(np.asarray(phis)) - swept).max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fringe_programs(), st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8))
+def test_fringes_are_trigonometric_polynomials(program, phis):
+    # Each `phase ... p` multiplies one arm by e^{ip}, so every unnormalized
+    # leaf amplitude is a polynomial of degree <= m in e^{ip} and every
+    # detector probability a trigonometric polynomial of degree <= m, which
+    # 2m + 1 nodes fix.  The worst miss seen over 300 generated programs
+    # was 4.7e-15.
+    text, m = program
+    assert fringe_miss(dsl.sweep_template(dsl.parse_text(text), "p"), m, phis) <= 1e-12
+
+
+def test_the_fringe_fit_misses_below_the_degree():
+    # Three phases of p on one arm make a fringe of frequency 3, which the
+    # nodes of degree 1 and 2 alias to a lower one.
+    text = "source A\nbeamsplitter\n" + "phase B p\n" * 3 + "mirrors\nbeamsplitter\ndetect\n"
+    family = dsl.sweep_template(dsl.parse_text(text), "p")
+    phis = np.linspace(-7.0, 7.0, 64)
+    misses = [fringe_miss(family, degree, phis) for degree in (1, 2, 3)]
+    assert misses[0] > 0.9 and misses[1] > 0.9
+    assert misses[2] <= 1e-12
+
+
 def test_unmatched_point_reports_float_zero():
     # At phi = 0 no branch reaches detector Y: the loop's empty sum is 0.0.
     result = sweep(dsl.sweep_template(load("baseline_phase.mzx"), "phi"), "phi",
