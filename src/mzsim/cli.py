@@ -37,6 +37,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -54,6 +55,17 @@ EXIT_OUT_OF_MEMORY = 5
 #: in CSV, against 33 MiB after the import alone (CPython 3.11, numpy 2.4,
 #: x86-64 Linux): about 1.4 KiB and 0.65 KiB per point.
 MAX_SWEEP_STEPS = 10**6
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a word which starts like a signed
+    number (-pi, -0.5pi, -1e-3, -inf) as a value, so `--from -pi` reads as
+    `--from=-pi`; argparse's own pattern takes only -1 and -1.5, and any
+    other word that starts with '-' as an option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.|pi|inf|nan)", re.IGNORECASE)
 
 
 class CliError(Exception):
@@ -310,7 +322,7 @@ def cmd_validate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzx", description="Run interferometer experiment files.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run = sub.add_parser("run", help="run a file analytically or with sampling")
     run.add_argument("file")

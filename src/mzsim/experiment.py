@@ -7,7 +7,8 @@ rows of a (branches, d) amplitude array.  It keeps, per level, the outcome
 weights and which parent row and outcome each next row came from, so a
 final row's record is read back from those arrays only when it is needed.
 Each row also carries its grid point, so no question about a row's point
-walks the levels back up.
+walks the levels back up.  A level's rows are normalized only when a later
+stage reads them, so only `run_analytic` builds the leaves' amplitudes.
 
 Results are columnar.  `run_analytic` returns an `OutcomeDistribution` of
 the leaves' records, a `probs` array and one read-only (leaves, d) block of
@@ -50,9 +51,10 @@ memo of those stacks, per operator (see `_Product`); the operators
 themselves are plain immutable values.
 
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
-`dsl.sweep_template` returns) runs as a batch: `_branch_tree` walks a forest
-of one root row per grid point, up to SWEEP_CHUNK of them, with its swept
-stages stacked over those points, so each point's leaves and sums are
+`dsl.sweep_template` returns) runs as a batch: `_branch_tree` walks the
+stages before the first swept or measuring one on one row, then a forest of
+one row per grid point, up to SWEEP_CHUNK of them, with its swept stages
+stacked over those points, so each point's leaves and sums are
 `run_analytic`'s bit for bit.  A chunk is walked up to the first value a
 swept stage rejects, and the family at that value then raises the error
 the point-by-point loop would.  Any other pipeline builder runs point by
@@ -91,6 +93,7 @@ ATOL_DELAYED = 1e-12
 #: Grid points per batched sweep walk.  Its largest array is a swept stage's
 #: lifted (rows, n, d, d) stack for n outcomes, gathered per row after a split:
 #: 9 MiB per outcome and row per point at d = 24, the largest space `dsl` builds.
+#: The stages before the first swept or measuring one take one row per walk.
 SWEEP_CHUNK = 1024
 #: Shots per sampling block.  A walker's buffers take SHOT_BLOCK x 49 bytes,
 #: whatever the number of measurement stages.  On two threads, 2**14 ran
@@ -507,18 +510,20 @@ class BranchTree(NamedTuple):
     `levels` holds every measurement `Level` in stage order.  The leaves,
     the final rows that no branch below PRUNE_PROB leads to, are arrays in
     grid-point order, depth-first within a point: their final-row indices
-    `leaves`, grid `points`, probabilities `probs` and normalized amplitudes
-    `amps`, one (L, d) block.  `pruned` holds, per grid point, the
-    probability of the final rows that are not leaves.  `outcomes` and
-    `records` read a final row's record back from the levels, for the rows
-    asked for.
+    `leaves`, grid `points` and probabilities `probs`.  `sub` is the last
+    measurement's (B, n, d) block of un-normalized outcome amplitudes (None
+    if no stage measures); when that measurement ends the stages, final row
+    j is `sub[rows[j], outs[j]]` of the last level over the square root of
+    its weight.  `pruned` holds, per grid point, the probability of the
+    final rows that are not leaves.  `outcomes` and `records` read a final
+    row's record back from the levels, for the rows asked for.
     """
 
     levels: list[Level]
     leaves: np.ndarray
     points: np.ndarray
     probs: np.ndarray
-    amps: np.ndarray
+    sub: np.ndarray | None
     pruned: np.ndarray
 
     def outcomes(self, final_rows: np.ndarray) -> list[np.ndarray]:
@@ -543,12 +548,16 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     `points` grid points.
 
     The walk holds the live branches of one measurement level as rows of a
-    (B, d) amplitude array, starting from one row of `initial` per point.  A
-    measurement stage with n outcomes maps them to (B, n, d) sub-amplitudes
-    and (B, n) weights, and every outcome of positive weight becomes a row
-    of the next level, parent-major and outcome-minor: rows stay in point
-    order, depth-first within a point, and each row's arithmetic is that of
-    a walk down its own branch at its own point.
+    (B, d) amplitude array.  It starts from one row of `initial`, shared by
+    every point, and repeats it to one row per point at the first stage that
+    is swept or measures: a stage gives a row the same bits in a batch of
+    any size as alone, so sharing moves no bit.  A measurement stage with n
+    outcomes maps the rows to (B, n, d) sub-amplitudes and (B, n) weights,
+    and every outcome of positive weight becomes a row of the next level,
+    parent-major and outcome-minor: rows stay in point order, depth-first
+    within a point, and each row's arithmetic is that of a walk down its
+    own branch at its own point.  The next level's rows are normalized when
+    a stage reads them; the last level's are left to the caller (`sub`).
 
     A projective or detector stage selects: each amplitude is copied to the
     outcome of its label (`_label_places`) and every other entry is +0.0.
@@ -573,7 +582,7 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     order is taken as given (the delayed-choice check runs stage lists that
     would not validate).
     """
-    amps = initial.amps[None, :].repeat(points, axis=0)
+    amps, sub = initial.amps[None, :], None
     prob = np.ones(points)
     kept = np.ones(points, dtype=bool)
     point = np.arange(points)
@@ -581,6 +590,10 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     for stage in stages:
         stage, local = stage if isinstance(stage, tuple) else (stage, None)
         key, (outcomes, mats) = stage.record_key, stage.operators(space, local)
+        if amps is None:   # this stage reads the last level's rows
+            amps = sub[rows, outs] / np.sqrt(weight)[:, None]
+        if len(amps) < points and (local is not None or key is not None):
+            amps = amps.repeat(points, axis=0)   # the points' shared row ends here
         if local is not None and len(amps) > points:
             mats = mats[point]
         if key is None:
@@ -595,7 +608,7 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
         weights = np.vecdot(sub, sub).real
         rows, outs = np.nonzero(weights > 0.0)
         weight = weights[rows, outs]
-        amps = sub[rows, outs] / np.sqrt(weight)[:, None]
+        amps = None
         prob = prob[rows] * weight
         kept = kept[rows] & (prob >= PRUNE_PROB)
         point = point[rows]
@@ -606,23 +619,27 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     leaves, dropped = kept.nonzero()[0], ~kept
     # Float zeros when nothing is dropped, where an empty bincount gives ints.
     pruned = np.bincount(point[dropped], prob[dropped], points).astype(float)
-    return BranchTree(levels, leaves, point[leaves], prob[leaves], amps[leaves], pruned)
+    return BranchTree(levels, leaves, point[leaves], prob[leaves], sub, pruned)
 
 
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
     """Exact outcome distribution of a pipeline.
 
-    The leaf amplitudes are checked as one block with `check_states`, the
-    rule every `StateVector` obeys, and then made read-only, as are the
-    probabilities; no per-leaf object is built here (see
-    `OutcomeDistribution.branches`).
+    The leaf amplitudes are built here, the only caller that reads them,
+    from the walk's last level (`BranchTree.sub`), checked as one block with
+    `check_states`, the rule every `StateVector` obeys, and then made
+    read-only, as are the probabilities; no per-leaf object is built here
+    (see `OutcomeDistribution.branches`).
     """
     tree = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
-    check_states(tree.amps)
-    tree.amps.setflags(write=False)
+    last = tree.levels[-1]   # the detectors'
+    weight = last.weights[last.rows, last.outs]
+    amps = (tree.sub[last.rows, last.outs] / np.sqrt(weight)[:, None])[tree.leaves]
+    check_states(amps)
+    amps.setflags(write=False)
     tree.probs.setflags(write=False)
     return OutcomeDistribution(tuple(tree.records(tree.outcomes(tree.leaves))), tree.probs,
-                               tree.amps, pipeline.space, tree.pruned.item())
+                               amps, pipeline.space, tree.pruned.item())
 
 
 @dataclass(frozen=True, eq=False)
@@ -915,7 +932,8 @@ def _sweep_points(records: Sequence[Record], probs: np.ndarray, given: Predicate
             raise ValueError(f"branch probabilities sum to {float(total[failed[0]])!r}, not 1")
         raise ZeroProbabilityEventError("conditioning event has zero probability")
     conds = [(joint / p_given).tolist() for joint in conditioned[1:]] or [repeat(None)] * 2
-    return list(map(SweepPoint._make, zip(grid, prob_x.tolist(), prob_y.tolist(), *conds)))
+    return list(map(partial(tuple.__new__, SweepPoint),
+                    zip(grid, prob_x.tolist(), prob_y.tolist(), *conds)))
 
 
 def sweep(build: Callable[[float], Pipeline], parameter: str,

@@ -304,21 +304,29 @@ class TestSweep:
 
     @pytest.mark.parametrize("bound, value", [
         ("-pi", -math.pi), ("+pi", math.pi), ("pi", math.pi), ("-2pi", -2 * math.pi),
-        ("-0.5pi", -0.5 * math.pi)])
+        ("-0.5pi", -0.5 * math.pi), ("-1e-3", -1e-3)])
     def test_signed_pi_bound_accepted(self, capsys, bound, value):
-        code, out, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),
-                                 "--param", "phi", f"--from={bound}", "--to=3pi",
-                                 "--steps", "4", "--format", "json")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["meta"]["from"] == value
+        # `--from=-pi` and `--from -pi` give the same bytes, and so for `--to`.
+        for flag, other in [("--from", "--to=3pi"), ("--to", "--from=3pi")]:
+            outputs = []
+            for spelling in ([f"{flag}={bound}"], [flag, bound]):
+                code, out, err = run_cli(capsys, "sweep", path("baseline_phase.mzx"),
+                                         "--param", "phi", *spelling, other,
+                                         "--steps", "4", "--format", "json")
+                assert (code, err) == (0, "")
+                assert json.loads(out)["meta"][flag[2:]] == value
+                outputs.append(out)
+            assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("bound", ["-", "pipi", "--pi", " x pi "])
+    @pytest.mark.parametrize("bound", ["-", "pipi", "--pi", " x pi ", "-pipi", "-1x"])
     def test_bad_number_error_names_whole_text(self, capsys, bound):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", path("baseline_phase.mzx"), "--param", "phi",
-                      f"--from={bound}", "--to=1", "--steps", "4"])
-        assert exc.value.code == 2
-        assert f"invalid number {bound!r}" in capsys.readouterr().err
+        # After a space, "--pi" reads as an option rather than a value.
+        for spelling in [[f"--from={bound}"]] + [["--from", bound]] * (bound != "--pi"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep", path("baseline_phase.mzx"), "--param", "phi",
+                          *spelling, "--to=1", "--steps", "4"])
+            assert exc.value.code == 2
+            assert f"invalid number {bound!r}" in capsys.readouterr().err
 
     def test_sweep_output_is_deterministic(self, capsys):
         args = ("sweep", path("eraser_phase.mzx"), "--param", "phi",

@@ -87,6 +87,14 @@ def eraser_pipeline(eta=1.0, phi=None, open_channel=True, eraser_before_exit=Fal
                     tuple(stages))
 
 
+def leaf_rows(tree):
+    """A walk's normalized leaf amplitudes, built from its last level as
+    `run_analytic` builds them."""
+    last = tree.levels[-1]
+    weight = last.weights[last.rows, last.outs]
+    return (tree.sub[last.rows, last.outs] / np.sqrt(weight)[:, None])[tree.leaves]
+
+
 def table(dist):
     return {b.record: b.prob for b in dist.branches}
 
@@ -158,7 +166,7 @@ class TestRunAnalytic:
         monkeypatch.setattr(hilbert.StateVector, "__post_init__", counted)
         branches = run_analytic(pipeline).branches
         assert len(branches) == 128 and checks == []
-        rows = exp._branch_tree(pipeline.space, pipeline.initial, pipeline.stages).amps
+        rows = leaf_rows(exp._branch_tree(pipeline.space, pipeline.initial, pipeline.stages))
         for branch, row in zip(branches, rows, strict=True):
             state = branch.state
             assert checks[-1] is state
@@ -216,12 +224,14 @@ class TestRunAnalytic:
         walk = exp._branch_tree
 
         def spoiled(*args):
+            # Leaf 1's row of the detectors' un-normalized block.
             tree = walk(*args)
-            amps = tree.amps.copy()
-            amps[1] = spoil(amps[1])
-            return tree._replace(amps=amps)
+            last, sub = tree.levels[-1], tree.sub.copy()
+            at = last.rows[tree.leaves[1]], last.outs[tree.leaves[1]]
+            sub[at] = spoil(sub[at])
+            return tree._replace(sub=sub)
 
-        bad_row = spoiled(pipeline.space, pipeline.initial, pipeline.stages).amps[1]
+        bad_row = leaf_rows(spoiled(pipeline.space, pipeline.initial, pipeline.stages))[1]
         with pytest.raises(ValueError) as from_state:
             hilbert.StateVector(pipeline.space, bad_row)
         monkeypatch.setattr(exp, "_branch_tree", spoiled)
@@ -468,6 +478,58 @@ class TestAgainstDenseReference:
         monkeypatch.setattr(exp, "_shot_workers", lambda blocks: workers)
         blocked = run_sampled(p, 150, seed).counts
         assert blocked == default == naive_run_sampled(p, 150, seed)
+
+
+def random_unitaries(gen, count, d):
+    """`count` random (d, d) unitaries, as one (count, d, d) array."""
+    z = gen.normal(size=(count, d, d)) + 1j * gen.normal(size=(count, d, d))
+    return np.linalg.qr(z)[0]
+
+
+def stage_of_kind(kind, space, gen):
+    """A stage of `kind` with random matrices on the whole of `space`."""
+    whole = space.names
+    if kind == "unitary":
+        return exp.Unitary(hilbert.LinearMap(space, random_unitaries(gen, 1, space.dim)[0],
+                                             unitary=True), whole)
+    if kind == "kraus":
+        # V diag(sqrt c) and W diag(sqrt(1 - c)) are trace-preserving.
+        c = gen.uniform(0.0, 1.0, space.dim)
+        v, w = random_unitaries(gen, 2, space.dim)
+        pair = comp.EraserKrausPair(hilbert.LinearMap(space, v * np.sqrt(c)),
+                                    hilbert.LinearMap(space, w * np.sqrt(1.0 - c)))
+        return GeneralizedMeasure(pair, whole, "k")
+    if kind == "projective":
+        return ProjectiveMeasure(whole[-1], "m")
+    return Detect()
+
+
+@pytest.mark.parametrize("make_space", [comp.direction_space, comp.tagged_space,
+                                        comp.eraser_space], ids=["d2", "d12", "d24"])
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "projective", "detect"])
+def test_a_row_of_a_batch_is_the_row_walked_alone(kind, make_space):
+    # The walk shares the stages before the first swept or measuring one
+    # among all points as one row; that gives each point's bits only if a
+    # stage gives a row the same bits in a batch of any size as alone.  A
+    # swept random unitary makes the rows differ; a unitary's rows are read
+    # through the detectors' copy.
+    space, gen = make_space(), np.random.default_rng(2072)
+    spread = stage_of_kind("unitary", space, gen)
+    local = random_unitaries(gen, 1000, space.dim)[:, None]
+    tail = [stage_of_kind(kind, space, gen)] + [Detect()] * (kind == "unitary")
+    initial = space.basis_state(tuple(sub.labels[0] for sub in space.subsystems))
+
+    def walk(mats):
+        tree = exp._branch_tree(space, initial, [(spread, mats)] + tail, len(mats))
+        return tree.levels[-1].weights, tree.sub
+
+    for batch in (1, 2, 64, 1000):
+        weights, sub = walk(local[:batch])
+        assert weights.shape[0] == sub.shape[0] == batch
+        for g in range(batch):
+            alone_weights, alone_sub = walk(local[g:g + 1])
+            assert weights[g].tobytes() == alone_weights[0].tobytes()
+            assert sub[g].tobytes() == alone_sub[0].tobytes()
 
 
 def float_table(weights):

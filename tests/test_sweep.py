@@ -52,23 +52,23 @@ def both(ast, parameter, grid, condition=None):
 def templates(draw):
     """A `.mzx` file with one free parameter `p`: a phase on arm A or B, an
     eraser's eta, or both; optional entangler, open or closed eraser, and
-    `wwreadout` where the entangler is absent."""
+    `wwreadout` where the entangler is absent.  The phase may be the first
+    stage, where the points share no stage, or follow a measurement, which
+    ends the stages they share."""
     entangler = draw(st.booleans())
     eraser = draw(st.sampled_from([None, "open", "closed"])) if entangler else None
     free_eta = eraser is not None and draw(st.booleans())
     free_phase = draw(st.booleans()) or not free_eta
-    body = ["beamsplitter"]
-    if entangler:
-        body.append("entangler")
-    arm = draw(st.sampled_from("AB"))
-    body.append(f"phase {arm} p" if free_phase else f"phase {arm} 0.3pi")
-    body += ["mirrors", "beamsplitter"]
+    body = ["beamsplitter", *["entangler"] * entangler, "mirrors", "beamsplitter"]
     if eraser is not None:
         eta = "eta=p" if free_eta else draw(st.sampled_from(["", "eta=0.5", "eta=1.0"]))
         at = draw(st.integers(2, len(body)))
         body.insert(at, f"eraser {eraser} {eta}".rstrip())
     if not entangler and draw(st.booleans()):
         body.insert(draw(st.integers(1, len(body))), "wwreadout")
+    arm = draw(st.sampled_from("AB"))
+    body.insert(draw(st.integers(0, len(body))),
+                f"phase {arm} p" if free_phase else f"phase {arm} 0.3pi")
     source = f"source {draw(st.sampled_from('AB'))}" + draw(st.sampled_from(["", " excited"]))
     return "\n".join([source, *body, "detect"]) + "\n"
 
@@ -171,6 +171,38 @@ def test_batch_neither_compiles_nor_walks_per_point(monkeypatch):
     walked.clear()
     sweep(family, "phi", [0.0, 1.0, math.pi, 2.0, 3.0], given=matches(abs="yes"))
     assert walked == [2, 2, 1]
+
+
+@pytest.mark.parametrize("text, parameter, rows", [
+    ((ROOT / "experiments" / "eraser_phase.mzx").read_text(), "phi", [1, 1, 4, 4, 4, 4]),
+    ((ROOT / "tests" / "golden" / "eraser_eta.mzx").read_text(), "eta", [1, 1, 1, 1, 4]),
+    ("source A\nphase B p\nbeamsplitter\nmirrors\nbeamsplitter\ndetect\n", "p", [4, 4, 4, 4]),
+    ("source A\nbeamsplitter\nwwreadout\nphase B p\nbeamsplitter\ndetect\n", "p", [1, 8, 8]),
+], ids=["phase", "eta", "first", "after-readout"])
+def test_stages_before_the_first_swept_or_measuring_one_walk_one_row(monkeypatch, text,
+                                                                    parameter, rows):
+    # The rows each product stage of a 4-point sweep multiplies, in order.
+    family = dsl.sweep_template(dsl.parse_text(text), parameter)
+    walked, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda mats, amps: walked.append(len(amps))
+                        or matmul(mats, amps))
+    sweep(family, parameter, [0.25, 0.5, 0.75, 1.0])
+    assert walked == rows
+
+
+def test_no_sweep_or_sample_normalizes_the_last_level(monkeypatch):
+    # A level's rows are normalized, by the square roots of their weights,
+    # only when a later stage reads them: eraser_phase.mzx's abs level, and
+    # not its detectors' level.
+    family = dsl.sweep_template(load("eraser_phase.mzx"), "phi")
+    pipeline = family(0.7)
+    normalized, sqrt = [], np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda weight: normalized.append(len(weight))
+                        or sqrt(weight))
+    sweep(family, "phi", [0.0, 1.0, 2.0])
+    assert normalized == [6]
+    exp.run_sampled(pipeline, 100, 1)
+    assert normalized == [6, 2]
 
 
 def test_a_rejected_value_neither_falls_back_nor_rewalks(monkeypatch):
