@@ -58,10 +58,8 @@ MAX_SWEEP_STEPS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that takes a word which starts like a signed
-    number (-pi, -0.5pi, -1e-3, -inf) as a value, so `--from -pi` reads as
-    `--from=-pi`; argparse's own pattern takes only -1 and -1.5, and any
-    other word that starts with '-' as an option."""
+    """Reads a word such as -pi, -0.5pi or -1e-3 as a value, so `--from -pi`
+    is `--from=-pi`; argparse's own pattern takes only words like -1 and -1.5."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)

@@ -6,9 +6,8 @@ branch of positive probability, one measurement level at a time, as the
 rows of a (branches, d) amplitude array.  It keeps, per level, the outcome
 weights and which parent row and outcome each next row came from, so a
 final row's record is read back from those arrays only when it is needed.
-Each row also carries its grid point, so no question about a row's point
-walks the levels back up.  A level's rows are normalized only when a later
-stage reads them, so only `run_analytic` builds the leaves' amplitudes.
+Each row also carries its grid point.  A level's rows are normalized only
+when a stage reads them, so only `run_analytic` builds the leaves' rows.
 
 Results are columnar.  `run_analytic` returns an `OutcomeDistribution` of
 the leaves' records, a `probs` array and one read-only (leaves, d) block of
@@ -52,13 +51,13 @@ themselves are plain immutable values.
 
 `sweep` evaluates a pipeline per grid point.  A `PipelineFamily` (what
 `dsl.sweep_template` returns) runs as a batch: `_branch_tree` walks the
-stages before the first swept or measuring one on one row, then a forest of
-one row per grid point, up to SWEEP_CHUNK of them, with its swept stages
-stacked over those points, so each point's leaves and sums are
-`run_analytic`'s bit for bit.  A chunk is walked up to the first value a
-swept stage rejects, and the family at that value then raises the error
-the point-by-point loop would.  Any other pipeline builder runs point by
-point through `run_analytic`, the reference the batch is tested against.
+stages its points share on one row, then one row per grid point, up to
+SWEEP_CHUNK of them, with its swept stages stacked over those points, so
+each point's leaves and sums are `run_analytic`'s bit for bit.  A chunk is
+walked up to the first value a swept stage rejects, and the family at that
+value then raises the error the point-by-point loop would.  Any other
+pipeline builder runs point by point through `run_analytic`, the reference
+the batch is tested against.
 
 Branch records map a per-stage record key ("ww", "abs", "detector") to an
 outcome label; record tuples list the keys in stage order.  A valid
@@ -93,7 +92,7 @@ ATOL_DELAYED = 1e-12
 #: Grid points per batched sweep walk.  Its largest array is a swept stage's
 #: lifted (rows, n, d, d) stack for n outcomes, gathered per row after a split:
 #: 9 MiB per outcome and row per point at d = 24, the largest space `dsl` builds.
-#: The stages before the first swept or measuring one take one row per walk.
+#: The stages before the first swept or measuring one walk one row.
 SWEEP_CHUNK = 1024
 #: Shots per sampling block.  A walker's buffers take SHOT_BLOCK x 49 bytes,
 #: whatever the number of measurement stages.  On two threads, 2**14 ran
@@ -511,12 +510,12 @@ class BranchTree(NamedTuple):
     the final rows that no branch below PRUNE_PROB leads to, are arrays in
     grid-point order, depth-first within a point: their final-row indices
     `leaves`, grid `points` and probabilities `probs`.  `sub` is the last
-    measurement's (B, n, d) block of un-normalized outcome amplitudes (None
-    if no stage measures); when that measurement ends the stages, final row
-    j is `sub[rows[j], outs[j]]` of the last level over the square root of
-    its weight.  `pruned` holds, per grid point, the probability of the
-    final rows that are not leaves.  `outcomes` and `records` read a final
-    row's record back from the levels, for the rows asked for.
+    measurement's un-normalized (B, n, d) outcome amplitudes: if it is the
+    last stage, final row j is `sub[rows[j], outs[j]]` of the last level
+    over the square root of its weight.  `pruned` holds, per grid point,
+    the probability of the final rows that are not leaves.  `outcomes` and
+    `records` read a final row's record back from the levels, for the rows
+    asked for.
     """
 
     levels: list[Level]
@@ -548,25 +547,22 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
     `points` grid points.
 
     The walk holds the live branches of one measurement level as rows of a
-    (B, d) amplitude array.  It starts from one row of `initial`, shared by
-    every point, and repeats it to one row per point at the first stage that
-    is swept or measures: a stage gives a row the same bits in a batch of
-    any size as alone, so sharing moves no bit.  A measurement stage with n
-    outcomes maps the rows to (B, n, d) sub-amplitudes and (B, n) weights,
-    and every outcome of positive weight becomes a row of the next level,
-    parent-major and outcome-minor: rows stay in point order, depth-first
-    within a point, and each row's arithmetic is that of a walk down its
-    own branch at its own point.  The next level's rows are normalized when
-    a stage reads them; the last level's are left to the caller (`sub`).
+    (B, d) amplitude array.  It starts from one row of `initial` and repeats
+    it to one row per point at the first stage that is swept or measures: a
+    stage gives a row the same bits in a batch of any size as alone.  A
+    measurement stage with n outcomes maps the rows to (B, n, d)
+    sub-amplitudes and (B, n) weights, and every outcome of positive weight
+    becomes a row of the next level, parent-major and outcome-minor: rows
+    stay in point order, depth-first within a point, and each row's
+    arithmetic is that of a walk down its own branch at its own point.  A
+    level's rows are normalized when a stage reads them (see `BranchTree`).
 
     A projective or detector stage selects: each amplitude is copied to the
     outcome of its label (`_label_places`) and every other entry is +0.0.
     These are the values of the projector's matrix product, made with no
-    arithmetic, so every nonzero entry is copied bit for bit.  A unitary or
-    Kraus stage stays a dense matrix product, even where its matrix is
-    diagonal: a phase applied as an elementwise product differs from the
-    BLAS product in the last bit (FMA), and the stored outputs pin those
-    bits.
+    arithmetic.  A unitary or Kraus stage stays a dense matrix product, even
+    where its matrix is diagonal: an elementwise product rounds differently
+    (FMA), and the stored outputs pin those bits.
 
     Each row carries its grid point in `point`, which starts as
     `arange(points)` and follows the rows' parents at every level.  A swept
@@ -625,11 +621,10 @@ def _branch_tree(space: SpaceSpec, initial: StateVector,
 def run_analytic(pipeline: Pipeline) -> OutcomeDistribution:
     """Exact outcome distribution of a pipeline.
 
-    The leaf amplitudes are built here, the only caller that reads them,
-    from the walk's last level (`BranchTree.sub`), checked as one block with
-    `check_states`, the rule every `StateVector` obeys, and then made
-    read-only, as are the probabilities; no per-leaf object is built here
-    (see `OutcomeDistribution.branches`).
+    Only this caller builds the leaf amplitudes (from `BranchTree.sub`).
+    They are checked as one block with `check_states`, the rule every
+    `StateVector` obeys, and made read-only, as are the probabilities; no
+    per-leaf object is built here (see `OutcomeDistribution.branches`).
     """
     tree = _branch_tree(pipeline.space, pipeline.initial, pipeline.stages)
     last = tree.levels[-1]   # the detectors'
